@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -69,13 +70,11 @@ func (s Stats) String() string {
 }
 
 // Merge interleaves several traces into one, ordered by tick (stable across
-// inputs, so per-source program order is preserved).
+// inputs, so per-source program order is preserved). The inputs need not be
+// in tick order themselves, so Merge sorts.
 func Merge(traces ...[]Access) []Access {
-	var out []Access
-	for _, t := range traces {
-		out = append(out, t...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Tick < out[j].Tick })
+	out := slices.Concat(traces...)
+	slices.SortStableFunc(out, func(a, b Access) int { return cmp.Compare(a.Tick, b.Tick) })
 	return out
 }
 

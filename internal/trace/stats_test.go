@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -58,6 +60,38 @@ func TestMergePreservesOrder(t *testing.T) {
 	}
 	if i1 > i2 {
 		t.Error("stable order violated for same-tick accesses")
+	}
+}
+
+// TestMergeMatchesSliceStable pins Merge to the reflective stable sort it
+// replaced, on sources that are themselves out of tick order and share
+// ticks within and across sources.
+func TestMergeMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 50; round++ {
+		srcs := make([][]Access, 1+rng.Intn(5))
+		addr := uint64(0)
+		for i := range srcs {
+			for n := rng.Intn(40); n > 0; n-- {
+				addr++
+				srcs[i] = append(srcs[i], Access{Addr: addr, Size: 8, CPU: uint8(i), Tick: uint64(rng.Intn(20))})
+			}
+		}
+		var want []Access
+		for _, s := range srcs {
+			want = append(want, s...)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Tick < want[j].Tick })
+
+		got := Merge(srcs...)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: merged %d accesses, want %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: access %d is %+v, want %+v", round, i, got[i], want[i])
+			}
+		}
 	}
 }
 

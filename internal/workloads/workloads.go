@@ -18,7 +18,6 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"hmccoal/internal/trace"
 )
@@ -34,7 +33,8 @@ type Params struct {
 	Seed int64
 	// ThinkScale multiplies every generator's compute think time; 0 means
 	// 1.0 (the calibrated balance). Below 1 pushes the system toward
-	// memory saturation, above 1 toward compute-bound operation.
+	// memory saturation, above 1 toward compute-bound operation. It must
+	// lie in [0, 1e6]: negative, NaN and infinite scales are rejected.
 	ThinkScale float64
 }
 
@@ -43,12 +43,24 @@ func DefaultParams() Params {
 	return Params{CPUs: 12, OpsPerCPU: 20000, Seed: 1}
 }
 
+// maxThinkScale bounds Params.ThinkScale far above any useful setting. At
+// this scale a core's clock overflows uint64 only after about 1e9 think
+// phases, a trace far larger than memory.
+const maxThinkScale = 1e6
+
 func (p Params) validate() error {
 	if p.CPUs <= 0 || p.CPUs > 256 {
 		return fmt.Errorf("workloads: CPUs %d out of range", p.CPUs)
 	}
 	if p.OpsPerCPU <= 0 {
 		return fmt.Errorf("workloads: OpsPerCPU %d must be positive", p.OpsPerCPU)
+	}
+	// build merges per-core streams that must each be in tick order, so
+	// think time may never move a core's clock backwards. A negative, NaN
+	// or infinite scale makes the float-to-uint64 conversion in core.think
+	// implementation-defined.
+	if !(p.ThinkScale >= 0 && p.ThinkScale <= maxThinkScale) {
+		return fmt.Errorf("workloads: ThinkScale %v out of range [0, %g]", p.ThinkScale, float64(maxThinkScale))
 	}
 	return nil
 }
@@ -59,7 +71,9 @@ type Generator interface {
 	Name() string
 	// Description summarizes the access pattern being modeled.
 	Description() string
-	// Generate builds the interleaved multi-core trace.
+	// Generate builds the interleaved multi-core trace. Accesses are
+	// ordered by Tick, then by CPU, then by each core's program order; the
+	// per-core streams are generated in tick order and merged, not sorted.
 	Generate(p Params) ([]trace.Access, error)
 }
 
@@ -147,7 +161,10 @@ func (c *core) think(cycles uint64) {
 }
 
 // build runs fn once per CPU and merges the per-core streams into one
-// trace ordered by tick (ties broken by CPU for determinism).
+// trace ordered by (Tick, CPU), each core's accesses keeping their program
+// order. The cores append one after another into a shared slab; a core's
+// clock only moves forward, so each core's stretch of the slab is already
+// in tick order and a k-way merge replaces a sort.
 func build(p Params, seedSalt int64, fn func(c *core, ops int)) ([]trace.Access, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -156,9 +173,11 @@ func build(p Params, seedSalt int64, fn func(c *core, ops int)) ([]trace.Access,
 	if scale == 0 {
 		scale = 1
 	}
-	var all []trace.Access
-	for cpu := 0; cpu < p.CPUs; cpu++ {
+	var slab []trace.Access
+	lens := make([]int, p.CPUs)
+	for cpu := range lens {
 		c := &core{
+			accs:       slab,
 			cpu:        uint8(cpu),
 			rng:        rand.New(rand.NewSource(p.Seed ^ seedSalt ^ int64(cpu)*0x9E3779B9)),
 			thinkScale: scale,
@@ -166,15 +185,63 @@ func build(p Params, seedSalt int64, fn func(c *core, ops int)) ([]trace.Access,
 		// Desynchronize the cores slightly, as real threads are.
 		c.tick = uint64(c.rng.Intn(64))
 		fn(c, p.OpsPerCPU)
-		all = append(all, c.accs...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Tick != all[j].Tick {
-			return all[i].Tick < all[j].Tick
+		lens[cpu] = len(c.accs) - len(slab)
+		slab = c.accs
+		if cpu == 0 {
+			// Every core runs the same loop, so the first core's length
+			// predicts the others' to within a loop body or so: reserve
+			// the whole slab once instead of regrowing it by quarters.
+			grown := make([]trace.Access, len(slab), p.CPUs*(len(slab)+len(slab)/16))
+			slab = grown[:copy(grown, slab)]
 		}
-		return all[i].CPU < all[j].CPU
-	})
-	return all, nil
+	}
+	streams := make([][]trace.Access, p.CPUs)
+	rest := slab
+	for cpu, n := range lens {
+		streams[cpu], rest = rest[:n], rest[n:]
+	}
+	return mergeStreams(streams, len(slab)), nil
+}
+
+// mergeStreams is build's merge step. Tests swap in the sort it replaced, as
+// the reference the merge must match exactly.
+var mergeStreams = merge
+
+// merge interleaves tick-ordered streams, indexed by CPU, into one slice of
+// exactly n accesses. It repeatedly finds the stream with the smallest head
+// and the runner-up, then copies the leader's whole run up to the
+// runner-up's head: bursts share a tick, so runs are long and the scan over
+// the streams is paid once per run, not once per access. Ties go to the
+// lower CPU, which reproduces a stable sort on (Tick, CPU) exactly.
+func merge(streams [][]trace.Access, n int) []trace.Access {
+	out := make([]trace.Access, 0, n)
+	for {
+		first, second := -1, -1
+		for i, s := range streams {
+			switch {
+			case len(s) == 0:
+			case first < 0 || s[0].Tick < streams[first][0].Tick:
+				first, second = i, first
+			case second < 0 || s[0].Tick < streams[second][0].Tick:
+				second = i
+			}
+		}
+		if first < 0 {
+			return out
+		}
+		s := streams[first]
+		run := len(s)
+		if second >= 0 {
+			// The leader keeps ties with a higher CPU, yields them to a lower.
+			limit, ties := streams[second][0].Tick, first < second
+			run = 1
+			for run < len(s) && (s[run].Tick < limit || ties && s[run].Tick == limit) {
+				run++
+			}
+		}
+		out = append(out, s[:run]...)
+		streams[first] = s[run:]
+	}
 }
 
 // Address-space layout: each logical array lives in its own 1 GiB region so

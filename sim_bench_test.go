@@ -81,7 +81,7 @@ func BenchmarkSimWorkloads(b *testing.B) {
 // BenchmarkSimFaults runs the two-phase system with link fault injection
 // at increasing error rates. The ber0 case IS the no-fault hot path with
 // the fault machinery compiled in: its allocs/op must equal
-// BenchmarkSim/TwoPhase (BENCH_2.json pins 328) — fault support costs
+// BenchmarkSim/TwoPhase (TestSimTwoPhaseAllocs pins it) — fault support costs
 // zero allocations until a fault actually fires.
 func BenchmarkSimFaults(b *testing.B) {
 	accs := simBenchTrace(b, "HPCG")
