@@ -12,6 +12,9 @@
 //	hmccoal -fig speedup -backend ddr # runtime improvement on another backend
 //	hmccoal -run FT -backend ideal   # one benchmark, one summary
 //	hmccoal -run FT -snapshot-at 1000000 # snapshot/restore mid-run, same summary
+//	hmccoal -run FT -faults seed=1,ber=1e-6 # one run with link faults injected
+//	hmccoal -trace ft.trace -json    # replay a captured trace, results as JSON
+//	hmccoal -fig all -cpuprofile cpu.pprof -exectrace run.trace # profile a run
 //	hmccoal -list                    # list the benchmarks
 //	hmccoal -fig all -serve :7333    # distribute the sweeps to hmcsweepd workers
 //	hmccoal -fig all -serve :7333 -token secret # only authenticated workers
@@ -23,27 +26,26 @@
 // a status snapshot (queue depth, leases, per-worker throughput, auth
 // rejects, reconnects) to stderr.
 //
+// -faults and -snapshot-at apply only with -run, and -json only with
+// -trace; given in any other mode they are usage errors.
+//
 // Exit codes: 0 success, 1 usage/configuration error, 2 simulation or
 // invariant-check failure.
 package main
 
 import (
 	"context"
-	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
 	"hmccoal"
-	"hmccoal/internal/dsweep"
-	"hmccoal/internal/netchaos"
-	"hmccoal/internal/profiling"
+	"hmccoal/internal/cli"
 	"hmccoal/internal/trace"
 )
 
@@ -68,75 +70,42 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("hmccoal", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "figure to regenerate: 1,2,8,9,10,11,12,13,14,15, 'fault' or 'all'")
-		ops     = fs.Int("ops", 4000, "approximate memory operations per CPU (scale)")
-		seed    = fs.Int64("seed", 3, "workload random seed")
-		cpus    = fs.Int("cpus", 12, "number of simulated CPUs")
-		bench   = fs.String("bench", "HPCG", "benchmark for figure 10")
-		list    = fs.Bool("list", false, "list benchmarks and exit")
-		chart   = fs.Bool("chart", false, "append ASCII bar charts to figures 8 and 15")
-		workers = fs.Int("workers", 0, "simulation worker pool size (0 = all cores, 1 = serial)")
-		batch   = fs.Int("batch", 0, "simulations advanced in lockstep per worker (0/1 = one at a time)")
-		replay  = fs.String("trace", "", "replay a binary trace file (from tracegen/rvsim) instead of running the benchmark suite")
-		asJSON  = fs.Bool("json", false, "with -trace: emit the full results as JSON")
-
-		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = fs.String("memprofile", "", "write an allocation profile to this file on exit")
-		exectrace   = fs.String("exectrace", "", "write a runtime execution trace to this file (-trace is taken by replay)")
-		checks      = fs.Bool("checks", false, "enable the runtime invariant checker in every simulation (results identical; violations become errors)")
-		checkpoint  = fs.String("checkpoint", "", "JSONL checkpoint base path: each sweep persists completed jobs to <base>.<sweep> and resumes from it")
-		backend     = fs.String("backend", "hmc", "memory backend behind the coalescer: hmc, ddr or ideal")
-		frontendF   = fs.String("frontend", "two-phase", "coalescing front-end between the LLC and the backend: two-phase or warp")
-		sched       = fs.String("sched", "frfcfs", "issue policy inside the front-end: frfcfs or hetero")
-		runBench    = fs.String("run", "", "run one benchmark once (two-phase) and print its summary; combines with -backend, -faults and -snapshot-at")
-		snapshotAt  = fs.Uint64("snapshot-at", 0, "with -run: snapshot at this tick, restore into a fresh system, and finish from the snapshot — the summary is byte-identical to the uninterrupted run")
-		faults      = fs.String("faults", "", "with -run: link fault injection (hmc backend only), e.g. seed=1,ber=1e-6[,drop=1e-7][,retries=3]")
-		serve       = fs.String("serve", "", "coordinate distributed sweeps: listen on this TCP address and ship sweep job groups to hmcsweepd workers instead of simulating locally")
-		lease       = fs.Duration("lease", dsweep.DefaultLease, "with -serve: a worker silent this long after taking a job group is presumed dead and the group is requeued")
-		token       = fs.String("token", "", "with -serve: shared secret workers must present in their handshake (empty accepts any worker)")
-		maxAttempts = fs.Int("max-attempts", dsweep.DefaultMaxAttempts, "with -serve: workers that may be lost on one job group before the group fails")
-		chaos       = fs.String("chaos", "", "with -serve: deterministic network-fault injection on worker connections, e.g. seed=1,reset=0.02,delay=2ms (testing)")
-		tlsCert     = fs.String("tls-cert", "", "with -serve: PEM certificate; worker connections are TLS-wrapped (requires -tls-key)")
-		tlsKey      = fs.String("tls-key", "", "with -serve: PEM private key for -tls-cert")
+		fig        = fs.String("fig", "all", "figure to regenerate: 1,2,8,9,10,11,12,13,14,15, 'fault' or 'all'")
+		ops        = fs.Int("ops", 4000, "approximate memory operations per CPU (scale)")
+		seed       = fs.Int64("seed", 3, "workload random seed")
+		cpus       = fs.Int("cpus", 12, "number of simulated CPUs")
+		bench      = fs.String("bench", "HPCG", "benchmark for figure 10")
+		list       = fs.Bool("list", false, "list benchmarks and exit")
+		chart      = fs.Bool("chart", false, "append ASCII bar charts to figures 8 and 15")
+		replay     = fs.String("trace", "", "replay a binary trace file (from tracegen/rvsim) instead of running the benchmark suite")
+		asJSON     = fs.Bool("json", false, "with -trace: emit the full results as JSON")
+		checks     = fs.Bool("checks", false, "enable the runtime invariant checker in every simulation (results identical; violations become errors)")
+		checkpoint = fs.String("checkpoint", "", "JSONL checkpoint base path: each sweep persists completed jobs to <base>.<sweep> and resumes from it")
+		runBench   = fs.String("run", "", "run one benchmark once (two-phase) and print its summary; combines with -backend, -faults and -snapshot-at")
+		snapshotAt = fs.Uint64("snapshot-at", 0, "with -run: snapshot at this tick, restore into a fresh system, and finish from the snapshot — the summary is byte-identical to the uninterrupted run")
 	)
+	shared := cli.Register(fs, cli.Backend|cli.Frontend|cli.Faults|cli.Workers|cli.Batch|cli.Profiling|cli.Serve)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return exitUsage
 	}
-	if *workers < 0 {
-		return usageErr(fmt.Errorf("-workers must be ≥ 0, got %d", *workers))
+	if err := shared.Parse(); err != nil {
+		return usageErr(err)
 	}
-	if *batch < 0 {
-		return usageErr(fmt.Errorf("-batch must be ≥ 0, got %d", *batch))
-	}
-	if *lease <= 0 {
-		return usageErr(fmt.Errorf("-lease must be positive, got %v", *lease))
-	}
-	if *maxAttempts <= 0 {
-		return usageErr(fmt.Errorf("-max-attempts must be positive, got %d", *maxAttempts))
-	}
-	if *serve == "" {
-		if *token != "" {
-			return usageErr(errors.New("-token only applies with -serve"))
-		}
-		if *chaos != "" {
-			return usageErr(errors.New("-chaos only applies with -serve"))
-		}
-		if *tlsCert != "" || *tlsKey != "" {
-			return usageErr(errors.New("-tls-cert/-tls-key only apply with -serve"))
+	// A flag only one mode reads is an error in any other mode, not a
+	// silent no-op.
+	for _, name := range []string{"faults", "snapshot-at"} {
+		if *runBench == "" && cli.Given(fs, name) {
+			return usageErr(fmt.Errorf("-%s only applies with -run", name))
 		}
 	}
-	if (*tlsCert == "") != (*tlsKey == "") {
-		return usageErr(errors.New("-tls-cert and -tls-key must be given together"))
-	}
-	chaosCfg, err := netchaos.ParseFlag(*chaos)
-	if err != nil {
-		return usageErr(fmt.Errorf("-chaos: %w", err))
+	if *replay == "" && cli.Given(fs, "json") {
+		return usageErr(errors.New("-json only applies with -trace"))
 	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile, *exectrace)
+	stopProf, err := shared.StartProfiling()
 	if err != nil {
 		return usageErr(err)
 	}
@@ -148,29 +117,13 @@ func run(argv []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	kind, err := hmccoal.ParseBackend(*backend)
-	if err != nil {
-		return usageErr(err)
-	}
-	feKind, err := hmccoal.ParseFrontend(*frontendF)
-	if err != nil {
-		return usageErr(err)
-	}
-	schedKind, err := hmccoal.ParseSched(*sched)
-	if err != nil {
-		return usageErr(err)
-	}
-
+	kind := shared.Backend
 	var dispatch hmccoal.Dispatcher
-	if *serve != "" {
-		coord, err := serveCoordinator(*serve, dsweep.Options{
-			Lease:       *lease,
-			MaxAttempts: *maxAttempts,
-			Token:       *token,
-		}, chaosCfg, *tlsCert, *tlsKey)
-		if err != nil {
-			return usageErr(err)
-		}
+	coord, err := shared.Serve("hmccoal", os.Stderr)
+	if err != nil {
+		return usageErr(err)
+	}
+	if coord != nil {
 		defer coord.Close()
 		dispatch = coord
 
@@ -190,15 +143,8 @@ func run(argv []string) int {
 		if err := validBenchmark(*runBench); err != nil {
 			return usageErr(err)
 		}
-		faultCfg, err := hmccoal.ParseFaultFlag(*faults)
-		if err != nil {
-			return usageErr(fmt.Errorf("-faults: %w", err))
-		}
-		if kind != hmccoal.BackendHMC && faultCfg.Enabled() {
-			return usageErr(fmt.Errorf("fault injection is HMC-only; -backend must be hmc, not %v", kind))
-		}
 		p := hmccoal.TraceParams{CPUs: *cpus, OpsPerCPU: *ops, Seed: *seed}
-		if err := runOnce(*runBench, p, kind, feKind, schedKind, faultCfg, *checks, *snapshotAt); err != nil {
+		if err := runOnce(*runBench, p, kind, shared.Frontend, shared.Sched, shared.Faults, *checks, *snapshotAt); err != nil {
 			return runErr(err)
 		}
 		return 0
@@ -244,10 +190,27 @@ func run(argv []string) int {
 		return usageErr(fmt.Errorf("the fault sweep injects errors on HMC serial links; -backend must be hmc, not %v", kind))
 	}
 
+	// opts wires the shared machine and pool flags, the invariant checker,
+	// the coordinator and a progress meter into one sweep. Progress goes
+	// to stderr only, so stdout stays byte-identical at any worker count
+	// or batch width. Each sweep grid gets its own checkpoint file
+	// (<base>.<tag>) so resumes never mix grids.
 	opts := func(tag string) hmccoal.SweepOptions {
-		opt := sweepOptions(*workers, *batch, *checks, *checkpoint, tag, kind)
-		opt.Frontend, opt.Sched = feKind, schedKind
-		opt.Dispatch = dispatch
+		opt := hmccoal.SweepOptions{
+			Workers:  shared.Workers,
+			Batch:    shared.Batch,
+			Checks:   *checks,
+			Backend:  kind,
+			Frontend: shared.Frontend,
+			Sched:    shared.Sched,
+			Dispatch: dispatch,
+			Progress: func(done, total int) {
+				fmt.Fprintf(os.Stderr, "\r%d/%d simulations", done, total)
+			},
+		}
+		if *checkpoint != "" {
+			opt.Checkpoint = *checkpoint + "." + tag
+		}
 		return opt
 	}
 
@@ -495,69 +458,6 @@ func runViaSnapshot(sys *hmccoal.System, cfg hmccoal.Config, accs []hmccoal.Acce
 			return restored.Finish()
 		}
 	}
-}
-
-// sweepOptions wires the worker count, the lockstep batch width, the
-// invariant-checker toggle and a stderr progress meter into a parallel
-// sweep. Progress goes to stderr only, so stdout stays byte-identical at
-// any worker count or batch width. Each sweep grid gets its own checkpoint
-// file (<base>.<tag>) so resumes never mix grids.
-func sweepOptions(workers, batch int, checks bool, checkpoint, tag string, backend hmccoal.BackendKind) hmccoal.SweepOptions {
-	opt := hmccoal.SweepOptions{
-		Workers: workers,
-		Batch:   batch,
-		Checks:  checks,
-		Backend: backend,
-		Progress: func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d simulations", done, total)
-		},
-	}
-	if checkpoint != "" {
-		opt.Checkpoint = checkpoint + "." + tag
-	}
-	return opt
-}
-
-// serveCoordinator starts the distributed-sweep coordinator on addr and
-// announces the bound address on stderr (":0" binds an ephemeral port, so
-// scripts parse the announcement). The coordinator's chatter — worker
-// connects, losses, requeues — also goes to stderr, keeping stdout
-// byte-identical to a local run. A non-zero chaos config wraps the
-// listener so every accepted worker connection suffers deterministic,
-// seeded network faults — the CI soak that proves figures stay
-// byte-identical anyway. A -tls-cert/-tls-key pair wraps the listener
-// last, so encryption sits above the injected faults exactly as it sits
-// above real network faults.
-func serveCoordinator(addr string, opt dsweep.Options, chaos netchaos.Config, tlsCert, tlsKey string) (*dsweep.Coordinator, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("-serve: %w", err)
-	}
-	if chaos.Enabled() {
-		inj, err := netchaos.New(chaos)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("-chaos: %w", err)
-		}
-		ln = inj.Listen(ln)
-		fmt.Fprintf(os.Stderr, "hmccoal: chaos injection armed on worker connections (seed %d)\n", chaos.Seed)
-	}
-	if tlsCert != "" {
-		cfg, err := dsweep.ServerTLS(tlsCert, tlsKey)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("-tls-cert: %w", err)
-		}
-		ln = tls.NewListener(ln, cfg)
-		fmt.Fprintln(os.Stderr, "hmccoal: TLS enabled on worker connections")
-	}
-	opt.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "hmccoal: "+format+"\n", args...)
-	}
-	coord := dsweep.NewCoordinator(opt)
-	go coord.Serve(ln)
-	fmt.Fprintf(os.Stderr, "hmccoal: coordinating sweeps on %s\n", ln.Addr())
-	return coord, nil
 }
 
 // validBenchmark rejects names that are not in the benchmark suite.

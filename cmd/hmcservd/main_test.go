@@ -3,16 +3,20 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"hmccoal"
+	"hmccoal/internal/dsweep"
 	"hmccoal/internal/jobserv"
 )
 
@@ -42,6 +46,10 @@ func TestFlagValidation(t *testing.T) {
 		{"cert sans key", []string{"-state", t.TempDir(), "-serve", ":0", "-tls-cert", "c"}},
 		{"bad chaos", []string{"-state", t.TempDir(), "-serve", ":0", "-chaos", "nope"}},
 		{"zero lease", []string{"-state", t.TempDir(), "-serve", ":0", "-lease", "0s"}},
+		{"zero attempts", []string{"-state", t.TempDir(), "-serve", ":0", "-max-attempts", "0"}},
+		{"bad serve addr", []string{"-state", t.TempDir(), "-serve", "no-such-host-xyz:0:0"}},
+		{"key sans cert", []string{"-state", t.TempDir(), "-serve", "127.0.0.1:0", "-tls-key", "x.key"}},
+		{"missing keypair", []string{"-state", t.TempDir(), "-serve", "127.0.0.1:0", "-tls-cert", "/no/such.crt", "-tls-key", "/no/such.key"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -55,17 +63,32 @@ func TestFlagValidation(t *testing.T) {
 
 // child is one re-exec'd hmcservd process.
 type child struct {
-	cmd  *exec.Cmd
-	addr string
+	cmd    *exec.Cmd
+	addr   string
+	stderr tap
+}
+
+// tap forwards a child's stderr and keeps a copy to search.
+type tap struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (w *tap) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.buf.Write(p)
+	w.mu.Unlock()
+	return os.Stderr.Write(p)
 }
 
 // startChild re-execs the test binary as a real hmcservd daemon and parses
 // the bound API address from its stdout.
 func startChild(t *testing.T, args ...string) *child {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
+	c := &child{cmd: exec.Command(os.Args[0])}
+	cmd := c.cmd
 	cmd.Env = append(os.Environ(), "HMCSERVD_CHILD_ARGS="+strings.Join(args, "\x1f"))
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = &c.stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +109,7 @@ func startChild(t *testing.T, args ...string) *child {
 	}()
 	select {
 	case a := <-addr:
-		c := &child{cmd: cmd, addr: a}
+		c.addr = a
 		t.Cleanup(func() {
 			c.cmd.Process.Kill()
 			c.cmd.Wait()
@@ -101,6 +124,25 @@ func startChild(t *testing.T, args ...string) *child {
 }
 
 func (c *child) url(path string) string { return "http://" + c.addr + path }
+
+// coordAddr waits for the dsweep coordinator address a -serve daemon
+// announces on stderr.
+func (c *child) coordAddr(t *testing.T) string {
+	t.Helper()
+	const prefix = "hmcservd: coordinating sweeps on "
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		c.stderr.mu.Lock()
+		out := c.stderr.buf.String()
+		c.stderr.mu.Unlock()
+		if _, rest, ok := strings.Cut(out, prefix); ok {
+			if addr, _, ok := strings.Cut(rest, "\n"); ok {
+				return addr
+			}
+		}
+	}
+	t.Fatal("daemon never announced its coordinator address")
+	return ""
+}
 
 func (c *child) submit(t *testing.T, tenant string, pri int, spec jobserv.Spec) string {
 	t.Helper()
@@ -257,6 +299,47 @@ func TestKillTheDaemon(t *testing.T) {
 	}
 	if err := b.cmd.Wait(); err != nil {
 		t.Fatalf("drained daemon exited dirty: %v", err)
+	}
+}
+
+// TestServeSweepOnWorker drives the -serve host end to end: a real
+// hmcservd process coordinates on an ephemeral port, an in-process
+// hmcsweepd-style worker attaches to the address the daemon announces,
+// and a sweep job submitted over HTTP runs on that worker with a result
+// byte-identical to the same sweep simulated inside a daemon without
+// -serve.
+func TestServeSweepOnWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec e2e")
+	}
+	d := startChild(t, "-listen", "127.0.0.1:0", "-state", t.TempDir(), "-serve", "127.0.0.1:0")
+	coord := d.coordAddr(t)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var groups atomic.Int64
+	runner := hmccoal.NewSweepRunner()
+	worked := make(chan error, 1)
+	go func() {
+		worked <- dsweep.Work(ctx, coord, func(ctx context.Context, spec []byte, idxs []int) ([]json.RawMessage, error) {
+			groups.Add(1)
+			return runner.Run(ctx, spec, idxs)
+		}, dsweep.WorkOptions{Name: "e2e"})
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-worked
+	})
+
+	spec := jobserv.Spec{Kind: jobserv.KindSweep, Sweep: "timeout", Bench: hmccoal.Benchmarks()[0], CPUs: 2, Ops: 150, Timeouts: []uint64{16, 22, 28}}
+	got := d.waitDone(t, d.submit(t, "e2e", 0, spec), 120*time.Second)
+	if groups.Load() == 0 {
+		t.Fatal("sweep finished without the attached worker running a job group")
+	}
+
+	local := startChild(t, "-listen", "127.0.0.1:0", "-state", t.TempDir())
+	want := local.waitDone(t, local.submit(t, "e2e", 0, spec), 120*time.Second)
+	if !bytes.Equal(got, want) {
+		t.Errorf("sweep via -serve worker differs from the local sweep\nserved: %.200s\nlocal:  %.200s", got, want)
 	}
 }
 

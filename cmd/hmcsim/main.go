@@ -9,12 +9,15 @@
 //	hmcsim -pattern seq -size 64        # one traffic pattern
 //	hmcsim -pattern scatter16           # the 16×16 B motivating example
 //	hmcsim -pattern scatter16 -frontend two-phase # same, coalesced first
+//	hmcsim -pattern seq -faults seed=1,ber=1e-6 # link faults injected
+//	hmcsim -sweep -cpuprofile cpu.pprof -exectrace run.trace # profile a sweep
 //
 // With -frontend the pattern's requests are routed through a coalescing
 // front-end (the paper's two-phase coalescer or the GPU-style warp unit,
 // with -sched picking the issue policy) before they reach the device —
 // the scatter16 example then shows the coalescer repairing exactly the
-// packet economics the raw run demonstrates.
+// packet economics the raw run demonstrates. -frontend and -faults apply
+// only to pattern runs; with -sweep they are usage errors.
 //
 // Exit codes: 0 success, 1 usage/configuration error, 2 device run
 // failure.
@@ -28,13 +31,12 @@ import (
 	"math/rand"
 	"os"
 
+	"hmccoal/internal/cli"
 	"hmccoal/internal/coalescer"
-	"hmccoal/internal/fault"
 	"hmccoal/internal/frontend"
 	"hmccoal/internal/hmc"
 	"hmccoal/internal/membackend"
 	"hmccoal/internal/mshr"
-	"hmccoal/internal/profiling"
 	"hmccoal/internal/sweep"
 )
 
@@ -57,43 +59,29 @@ func run(argv []string) int {
 		size      = fs.Uint("size", 64, "request payload bytes (FLIT multiple)")
 		requests  = fs.Int("n", 100000, "number of requests")
 		seed      = fs.Int64("seed", 1, "random seed")
-		workers   = fs.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
-		batch     = fs.Int("batch", 0, "sweep points grouped per worker job (0/1 = one at a time)")
-		backend   = fs.String("backend", "hmc", "memory backend: hmc, ddr or ideal")
 		frontendF = fs.String("frontend", "", "route the pattern through a coalescing front-end before the device: two-phase or warp ('' = raw device traffic)")
 		schedF    = fs.String("sched", "", "with -frontend: issue policy inside the front-end, frfcfs or hetero")
-		faults    = fs.String("faults", "", "link fault injection (hmc backend only), e.g. seed=1,ber=1e-6[,drop=1e-7][,retries=3]")
-
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
-		exectrace  = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
+	shared := cli.Register(fs, cli.Backend|cli.Faults|cli.Workers|cli.Batch|cli.Profiling)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return exitUsage
 	}
-	if *workers < 0 {
-		return usageErr(fmt.Errorf("-workers must be ≥ 0, got %d", *workers))
-	}
-	if *batch < 0 {
-		return usageErr(fmt.Errorf("-batch must be ≥ 0, got %d", *batch))
-	}
-
-	faultCfg, err := fault.ParseFlag(*faults)
-	if err != nil {
-		return usageErr(fmt.Errorf("-faults: %w", err))
-	}
-	kind, err := membackend.ParseKind(*backend)
-	if err != nil {
+	if err := shared.Parse(); err != nil {
 		return usageErr(err)
 	}
+	kind := shared.Backend
 	if *frontendF == "" && *schedF != "" {
 		return usageErr(errors.New("-sched only applies with -frontend"))
 	}
-	if *frontendF != "" && *sizeSweep {
-		return usageErr(errors.New("-frontend only applies to pattern runs, not -sweep"))
+	if *sizeSweep {
+		for _, name := range []string{"frontend", "faults"} {
+			if cli.Given(fs, name) {
+				return usageErr(fmt.Errorf("-%s only applies to pattern runs, not -sweep", name))
+			}
+		}
 	}
 	feKind, err := frontend.ParseKind(*frontendF)
 	if err != nil {
@@ -108,9 +96,9 @@ func run(argv []string) int {
 			*size, hmc.MinRequestBytes, hmc.MaxRequestBytes))
 	}
 
-	stopProf, perr := profiling.Start(*cpuprofile, *memprofile, *exectrace)
-	if perr != nil {
-		return usageErr(perr)
+	stopProf, err := shared.StartProfiling()
+	if err != nil {
+		return usageErr(err)
 	}
 	defer stopProf()
 
@@ -145,7 +133,7 @@ func run(argv []string) int {
 			return fmt.Sprintf("%7dB %8s %12d %12.1f %14.2f %11.2f%%",
 				sz, kind, s.Requests, us, gbps, 100*s.BandwidthEfficiency()), nil
 		}
-		rows, err := sweep.MapBatch(context.Background(), len(sizes), *batch, sweep.Options{Workers: *workers},
+		rows, err := sweep.MapBatch(context.Background(), len(sizes), shared.Batch, sweep.Options{Workers: shared.Workers},
 			func(_ context.Context, idxs []int) ([]string, error) {
 				out := make([]string, 0, len(idxs))
 				for _, i := range idxs {
@@ -167,7 +155,9 @@ func run(argv []string) int {
 		return 0
 	}
 
-	dev, err := newBackend(kind, faultCfg)
+	devCfg := hmc.DefaultConfig()
+	devCfg.Fault = shared.Faults
+	dev, err := membackend.New(kind, devCfg)
 	if err != nil {
 		return usageErr(err)
 	}
@@ -232,7 +222,7 @@ func run(argv []string) int {
 	fmt.Printf("  bandwidth efficiency %.2f%%\n", 100*s.BandwidthEfficiency())
 	fmt.Printf("  row activations      %d\n", s.RowActivations)
 	fmt.Printf("  bank conflicts       %d (wait %.1f µs)\n", s.BankConflicts, float64(s.ConflictWait)/3.3/1000)
-	if faultCfg.Enabled() {
+	if shared.Faults.Enabled() {
 		fmt.Printf("  link retries         %d (%d retrains, %.2f MB retransmitted)\n",
 			s.Retries, s.RetrainEvents, float64(s.RetransmittedBytes)/1e6)
 		fmt.Printf("  poisoned responses   %d (%d dropped)\n", s.PoisonedResponses, s.DroppedResponses)
@@ -340,14 +330,6 @@ func (d *coalescedDriver) finish() error {
 		d.last = end
 	}
 	return d.fr.CheckDrained(end)
-}
-
-// newBackend builds the selected memory backend; fault injection is
-// rejected by the factory for the link-less ddr/ideal models.
-func newBackend(kind membackend.Kind, f fault.Config) (membackend.Backend, error) {
-	cfg := hmc.DefaultConfig()
-	cfg.Fault = f
-	return membackend.New(kind, cfg)
 }
 
 // submit issues one request and returns its completion tick. A dropped

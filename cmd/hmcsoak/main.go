@@ -8,6 +8,12 @@
 //	hmcsoak -seed 1 -runs 50                 # a 50-scenario campaign
 //	hmcsoak -runs 200 -workers 4 -v          # bigger grid, live progress
 //	hmcsoak -replay testdata/repros/r.json   # replay a saved repro
+//	hmcsoak -runs 3000 -checkpoint soak.jsonl # resumable campaign
+//
+// SIGINT and SIGTERM drain a campaign: it stops with every finished
+// scenario checkpointed and exits 1 ("context canceled"), and rerunning
+// with the same -checkpoint resumes it to output byte-identical to an
+// uninterrupted run.
 //
 // Exit codes: 0 clean, 1 usage/configuration error, 2 violation found (or
 // a replayed repro still failing).
@@ -20,10 +26,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
-	"hmccoal/internal/frontend"
-	"hmccoal/internal/membackend"
+	"hmccoal/internal/cli"
 	"hmccoal/internal/soak"
 )
 
@@ -39,32 +45,30 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("hmcsoak", flag.ContinueOnError)
 	var (
-		seed      = fs.Int64("seed", 1, "soak seed; the whole scenario grid is a pure function of it")
-		runs      = fs.Int("runs", 50, "number of scenarios to run")
-		workers   = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-		timeout   = fs.Duration("timeout", 2*time.Minute, "per-scenario wall-clock budget (0 = unbounded)")
-		reproDir  = fs.String("repro-dir", "testdata/repros", "directory for shrunken repro files ('' disables)")
-		budget    = fs.Int("shrink-budget", soak.DefaultShrinkBudget, "max re-runs the shrinker may spend per failure")
-		replay    = fs.String("replay", "", "replay a repro JSON file instead of soaking")
-		ckpt      = fs.String("checkpoint", "", "JSONL checkpoint file: completed scenarios persist and an interrupted campaign resumes from it")
-		backend   = fs.String("backend", "hmc", "memory backend to soak: hmc, ddr or ideal")
-		frontendF = fs.String("frontend", "two-phase", "coalescing front-end to soak: two-phase or warp")
-		sched     = fs.String("sched", "frfcfs", "issue policy inside the front-end: frfcfs or hetero")
-		verbose   = fs.Bool("v", false, "print per-scenario progress")
+		seed     = fs.Int64("seed", 1, "soak seed; the whole scenario grid is a pure function of it")
+		runs     = fs.Int("runs", 50, "number of scenarios to run")
+		timeout  = fs.Duration("timeout", 2*time.Minute, "per-scenario wall-clock budget (0 = unbounded)")
+		reproDir = fs.String("repro-dir", "testdata/repros", "directory for shrunken repro files ('' disables)")
+		budget   = fs.Int("shrink-budget", soak.DefaultShrinkBudget, "max re-runs the shrinker may spend per failure")
+		replay   = fs.String("replay", "", "replay a repro JSON file instead of soaking")
+		ckpt     = fs.String("checkpoint", "", "JSONL checkpoint file: completed scenarios persist and an interrupted campaign resumes from it")
+		verbose  = fs.Bool("v", false, "print per-scenario progress")
 	)
+	shared := cli.Register(fs, cli.Backend|cli.Frontend|cli.Workers)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return exitUsage
 	}
-
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "hmcsoak: -workers must be ≥ 0, got %d\n", *workers)
+	if err := shared.Parse(); err != nil {
+		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
 		return exitUsage
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM drains like Ctrl-C: the campaign stops with every finished
+	// scenario checkpointed, so a rerun resumes where it left off.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *replay != "" {
@@ -76,26 +80,10 @@ func run(argv []string) int {
 		return exitUsage
 	}
 
-	kind, err := membackend.ParseKind(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
-		return exitUsage
-	}
-	feKind, err := frontend.ParseKind(*frontendF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
-		return exitUsage
-	}
-	schedKind, err := frontend.ParseSched(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
-		return exitUsage
-	}
-
 	opts := soak.Options{
-		Seed: *seed, Runs: *runs, Workers: *workers,
+		Seed: *seed, Runs: *runs, Workers: shared.Workers,
 		JobTimeout: *timeout, ReproDir: *reproDir, ShrinkBudget: *budget,
-		Backend: kind, Frontend: feKind, Sched: schedKind, Checkpoint: *ckpt,
+		Backend: shared.Backend, Frontend: shared.Frontend, Sched: shared.Sched, Checkpoint: *ckpt,
 	}
 	if *verbose {
 		opts.Progress = func(done, total int) {

@@ -138,10 +138,6 @@ func ParseSched(s string) (SchedKind, error) { return frontend.ParseSched(s) }
 // Scheds lists the selectable scheduler names.
 func Scheds() []string { return frontend.Scheds() }
 
-// ParseFaultFlag decodes the shared -faults CLI syntax ("seed=1,ber=1e-6,
-// drop=1e-7,retries=3"); an empty string disables injection.
-func ParseFaultFlag(s string) (FaultConfig, error) { return fault.ParseFlag(s) }
-
 // DefaultConfig returns the paper's evaluation system: 12 CPUs at 3.3 GHz,
 // 16 LLC MSHRs, sequence width 16, 8 GB HMC with 256 B blocks.
 func DefaultConfig() Config { return sim.DefaultConfig() }

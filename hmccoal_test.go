@@ -1,6 +1,7 @@
 package hmccoal
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -117,7 +118,7 @@ func TestTimeoutSweepDefaultsAndTrend(t *testing.T) {
 	}
 	p := DefaultTraceParams()
 	p.OpsPerCPU = 800
-	lat, err := TimeoutSweep("SG", p, nil)
+	lat, err := TimeoutSweepContext(context.Background(), "SG", p, nil, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestMSHRSweep(t *testing.T) {
 	}
 	p := DefaultTraceParams()
 	p.OpsPerCPU = 800
-	eff, err := MSHRSweep("FT", p, []int{4, 16})
+	eff, err := MSHRSweepContext(context.Background(), "FT", p, []int{4, 16}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +173,10 @@ func TestMSHRSweep(t *testing.T) {
 		}
 	}
 	// Defaults path.
-	if _, err := MSHRSweep("FT", p, nil); err != nil {
+	if _, err := MSHRSweepContext(context.Background(), "FT", p, nil, SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MSHRSweep("nope", p, nil); err == nil {
+	if _, err := MSHRSweepContext(context.Background(), "nope", p, nil, SweepOptions{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

@@ -563,7 +563,8 @@ func (c *Coordinator) serveWorker(conn net.Conn) (string, error) {
 				c.deliver(g, groupOutcome{err: fmt.Errorf("dsweep: worker %s returned %d cells for %d jobs", hello.Name, len(res.Cells), len(g.idxs))})
 				continue
 			}
-			c.deliver(g, groupOutcome{cells: res.Cells})
+			// Count before delivering, so a Status taken once RunGroup
+			// returns already includes this group.
 			c.mu.Lock()
 			ws.completed++
 			ws.jobs += uint64(len(g.idxs))
@@ -571,6 +572,7 @@ func (c *Coordinator) serveWorker(conn net.Conn) (string, error) {
 				ws.cache = *res.Cache
 			}
 			c.mu.Unlock()
+			c.deliver(g, groupOutcome{cells: res.Cells})
 		case MsgFail:
 			var fail failMsg
 			if err := decodeMsg(typ, payload, &fail); err != nil {
@@ -578,10 +580,10 @@ func (c *Coordinator) serveWorker(conn net.Conn) (string, error) {
 				return hello.Name, err
 			}
 			// Job errors are deterministic; requeueing would repeat them.
-			c.deliver(g, groupOutcome{err: fmt.Errorf("dsweep: worker %s: %s", hello.Name, truncate(fail.Error, MaxErrorLen))})
 			c.mu.Lock()
 			ws.fails++
 			c.mu.Unlock()
+			c.deliver(g, groupOutcome{err: fmt.Errorf("dsweep: worker %s: %s", hello.Name, truncate(fail.Error, MaxErrorLen))})
 		default:
 			err := fmt.Errorf("expected result, got %v", typ)
 			c.requeue(g, err)

@@ -1,7 +1,6 @@
 // Package profiling wires the standard pprof and execution-trace
-// collectors into the command-line tools. It exists so every binary
-// exposes the same -cpuprofile/-memprofile/-trace workflow without
-// repeating the file-handling boilerplate.
+// collectors into the command-line tools. internal/cli calls it for the
+// -cpuprofile/-memprofile/-exectrace flags every profiling binary shares.
 package profiling
 
 import (

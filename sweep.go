@@ -50,8 +50,8 @@ type SweepOptions struct {
 	// policy for every simulation of the sweep (see Config.Frontend,
 	// Config.Sched). Like Backend, the zero values (two-phase, FR-FCFS)
 	// leave checkpoint lines untagged so pre-frontend checkpoints keep
-	// resuming; the StrideLadder grid sweeps both axes itself and ignores
-	// these.
+	// resuming; the StrideLadderContext grid sweeps both axes itself and
+	// ignores these.
 	Frontend FrontendKind
 	Sched    SchedKind
 	// Dispatch, when non-nil, ships every job group to external executors
@@ -298,9 +298,12 @@ func latencyCell(_ int, c SweepCell) float64 {
 	return c.Res.Coalescer.AvgRequestLatencyNs(c.Res.ClockGHz)
 }
 
-// TimeoutSweepContext is TimeoutSweep on a worker pool: the benchmark's
-// trace is generated and bucketed once and the per-timeout runs fan out
-// in parallel (batched onto shared lanes when opt.Batch is set).
+// TimeoutSweepContext runs one benchmark's two-phase system across the
+// Figure 14 timeout values (a nil timeouts uses the default grid),
+// returning the average coalescer latency (ns) per timeout. The
+// benchmark's trace is generated and bucketed once and the per-timeout
+// runs fan out on the worker pool (batched onto shared lanes when
+// opt.Batch is set).
 func TimeoutSweepContext(ctx context.Context, name string, p TraceParams, timeouts []uint64, opt SweepOptions) ([]float64, error) {
 	if len(timeouts) == 0 {
 		timeouts = defaultTimeouts()
@@ -339,8 +342,8 @@ func Figure14TableContext(ctx context.Context, p TraceParams, timeouts []uint64,
 	return rows2(rows), nil
 }
 
-// speedupModes is the SpeedupTable grid: the conventional MHA against the
-// full coalescer.
+// speedupModes is the SpeedupTableContext grid: the conventional MHA
+// against the full coalescer.
 var speedupModes = [2]Mode{ModeBaseline, ModeTwoPhase}
 
 // SpeedupTableContext renders the Figure 15 runtime-improvement study on a
@@ -378,12 +381,10 @@ func SpeedupTableContext(ctx context.Context, p TraceParams, opt SweepOptions) (
 	return rows2(rows), nil
 }
 
-// SpeedupTable is SpeedupTableContext without cancellation.
-func SpeedupTable(p TraceParams, opt SweepOptions) (string, error) {
-	return SpeedupTableContext(context.Background(), p, opt)
-}
-
-// MSHRSweepContext is MSHRSweep on a worker pool.
+// MSHRSweepContext runs one benchmark's two-phase system across MSHR file
+// sizes on the worker pool, returning the coalescing efficiency per size —
+// a scalability study of the dynamic-MSHR design (the CRQ is resized in
+// lockstep, as §3.2.2 requires). A nil entries uses 8, 16, 32 and 64.
 func MSHRSweepContext(ctx context.Context, name string, p TraceParams, entries []int, opt SweepOptions) ([]float64, error) {
 	if len(entries) == 0 {
 		entries = []int{8, 16, 32, 64}
@@ -426,16 +427,11 @@ func (r FaultSweepRow) HasData() bool { return r.Baseline.RuntimeCycles != 0 }
 // ~10^4 bits.
 func defaultBERs() []float64 { return []float64{0, 1e-7, 1e-6, 1e-5, 1e-4} }
 
-// FaultSweep runs one benchmark across injected link error rates under all
-// three architectures; see FaultSweepContext.
-func FaultSweep(name string, p TraceParams, seed uint64, bers []float64) ([]FaultSweepRow, error) {
-	return FaultSweepContext(context.Background(), name, p, seed, bers, SweepOptions{})
-}
-
-// FaultSweepContext fans the (error rate × mode) grid across the worker
-// pool. Fault decisions are keyed by (seed, link, packet serial), so the
-// rows are byte-identical at any worker count and batch width. A nil bers
-// uses the default grid.
+// FaultSweepContext runs one benchmark across injected link error rates
+// under all three architectures, fanning the (error rate × mode) grid
+// across the worker pool. Fault decisions are keyed by (seed, link,
+// packet serial), so the rows are byte-identical at any worker count and
+// batch width. A nil bers uses the default grid.
 func FaultSweepContext(ctx context.Context, name string, p TraceParams, seed uint64, bers []float64, opt SweepOptions) ([]FaultSweepRow, error) {
 	if len(bers) == 0 {
 		bers = defaultBERs()
@@ -506,9 +502,4 @@ func StrideLadderContext(ctx context.Context, p TraceParams, opt SweepOptions) (
 		copy(runs[b].Results[:], cells[b*n:(b+1)*n])
 	}
 	return runs, nil
-}
-
-// StrideLadder is StrideLadderContext without cancellation.
-func StrideLadder(p TraceParams, opt SweepOptions) ([]StrideRun, error) {
-	return StrideLadderContext(context.Background(), p, opt)
 }
