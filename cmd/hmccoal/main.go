@@ -29,8 +29,14 @@
 // -faults and -snapshot-at apply only with -run, and -json only with
 // -trace; given in any other mode they are usage errors.
 //
-// Exit codes: 0 success, 1 usage/configuration error, 2 simulation or
-// invariant-check failure.
+// -checkpoint binds each sweep's file to its spec: resuming it with any
+// flag that changes results (-ops, -seed, -cpus, -bench, -checks,
+// -backend, -frontend, -sched) is an error (exit 1) naming the file;
+// -workers, -batch and -serve may change between runs.
+//
+// Exit codes: 0 success, 1 usage/configuration error (including a
+// checkpoint written for another spec), 2 simulation or invariant-check
+// failure.
 package main
 
 import (
@@ -273,12 +279,12 @@ func run(argv []string) int {
 		fmt.Print(hmccoal.Figure13Table(runs))
 	}
 	if need("14") {
-		section("Figure 14 — average coalescer latency vs timeout T")
 		table, err := hmccoal.Figure14TableContext(ctx, p, nil, opts("fig14"))
 		fmt.Fprintln(os.Stderr)
 		if err != nil {
 			return runErr(err)
 		}
+		section("Figure 14 — average coalescer latency vs timeout T")
 		fmt.Print(table)
 	}
 	if need("15") {
@@ -291,33 +297,33 @@ func run(argv []string) int {
 	// The backend-comparison speedup study is explicit-only: "all" keeps
 	// producing exactly the paper's figure set.
 	if want["speedup"] {
-		section(fmt.Sprintf("Speedup — runtime improvement on the %v backend", kind))
 		table, err := hmccoal.SpeedupTableContext(ctx, p, opts("speedup"))
 		fmt.Fprintln(os.Stderr)
 		if err != nil {
 			return runErr(err)
 		}
+		section(fmt.Sprintf("Speedup — runtime improvement on the %v backend", kind))
 		fmt.Print(table)
 	}
 	// The stride-ladder front-end comparison is explicit-only for the same
 	// reason; it sweeps the front-end × scheduler axes itself, so the
 	// -frontend/-sched flags do not apply to it.
 	if want["stride"] {
-		section("Stride ladder — front-end coalescing efficiency vs access stride")
 		runs, err := hmccoal.StrideLadderContext(ctx, p, opts("stride"))
 		fmt.Fprintln(os.Stderr)
 		if err != nil {
 			return runErr(err)
 		}
+		section("Stride ladder — front-end coalescing efficiency vs access stride")
 		fmt.Print(hmccoal.StrideLadderTable(runs))
 	}
 	if need("fault") {
-		section(fmt.Sprintf("Fault sweep — efficiency and speedup vs link error rate (%s)", *bench))
 		rows, err := hmccoal.FaultSweepContext(ctx, *bench, p, uint64(*seed), nil, opts("fault"))
 		fmt.Fprintln(os.Stderr)
 		if err != nil {
 			return runErr(err)
 		}
+		section(fmt.Sprintf("Fault sweep — efficiency and speedup vs link error rate (%s)", *bench))
 		fmt.Print(hmccoal.FaultSweepTable(rows))
 	}
 	return 0
@@ -475,13 +481,17 @@ func section(title string) {
 }
 
 // usageErr reports a configuration mistake (exit 1); runErr reports a
-// failed simulation — including invariant violations (exit 2).
+// failed simulation — including invariant violations (exit 2) — except a
+// checkpoint written for another spec, which is the user's to fix (1).
 func usageErr(err error) int {
 	fmt.Fprintln(os.Stderr, "hmccoal:", err)
 	return exitUsage
 }
 
 func runErr(err error) int {
+	if errors.Is(err, hmccoal.ErrCheckpointMismatch) {
+		return usageErr(err)
+	}
 	fmt.Fprintln(os.Stderr, "hmccoal:", err)
 	return exitRun
 }

@@ -13,7 +13,8 @@
 // SIGINT and SIGTERM drain a campaign: it stops with every finished
 // scenario checkpointed and exits 1 ("context canceled"), and rerunning
 // with the same -checkpoint resumes it to output byte-identical to an
-// uninterrupted run.
+// uninterrupted run. A checkpoint written under another -seed, -runs,
+// -backend, -frontend, -sched or -shrink-budget is an error (exit 1).
 //
 // Exit codes: 0 clean, 1 usage/configuration error, 2 violation found (or
 // a replayed repro still failing).

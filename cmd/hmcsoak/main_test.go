@@ -77,13 +77,14 @@ func TestSIGTERMDrains(t *testing.T) {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if b, _ := os.ReadFile(ckpt); bytes.IndexByte(b, '\n') >= 0 {
+		// The first line is the header; wait for the first scenario line.
+		if b, _ := os.ReadFile(ckpt); bytes.Count(b, []byte("\n")) >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()
-			t.Fatal("checkpoint never got a line")
+			t.Fatal("checkpoint never got a scenario line")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -101,7 +102,7 @@ func TestSIGTERMDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(b, []byte("\n")); n == 0 || n >= runs {
+	if n := bytes.Count(b, []byte("\n")) - 1; n <= 0 || n >= runs {
 		t.Fatalf("interrupted campaign checkpointed %d of %d scenarios", n, runs)
 	}
 
@@ -109,5 +110,24 @@ func TestSIGTERMDrains(t *testing.T) {
 	want := campaign(t, args...)
 	if !bytes.Equal(resumed, want) {
 		t.Errorf("resumed campaign differs from an uninterrupted one\nresumed: %s\nwant:    %s", resumed, want)
+	}
+}
+
+// TestCheckpointCampaignMismatch: a soak checkpoint is bound to its
+// campaign, so resuming it under another -seed or -backend exits 1
+// instead of reporting the first campaign's outcomes as the second's.
+func TestCheckpointCampaignMismatch(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "soak.jsonl")
+	args := []string{"-runs", "3", "-workers", "1", "-repro-dir", "", "-checkpoint", ckpt}
+	if code := run(append([]string{"-seed", "1"}, args...)); code != 0 {
+		t.Fatalf("first campaign: exit %d", code)
+	}
+	for _, flip := range [][]string{{"-seed", "2"}, {"-seed", "1", "-backend", "ddr"}} {
+		if code := run(append(flip, args...)); code != exitUsage {
+			t.Errorf("resume with %v: exit %d, want %d", flip, code, exitUsage)
+		}
+	}
+	if code := run(append([]string{"-seed", "1"}, args...)); code != 0 {
+		t.Errorf("same-campaign resume: exit %d, want 0", code)
 	}
 }

@@ -191,27 +191,33 @@ func TestDistributedWorkerKillLosesNoJobs(t *testing.T) {
 	}
 }
 
-// readCheckpointJobs counts how often each job index appears in a JSONL
-// checkpoint written for an n-job grid.
+// readCheckpointJobs checks that a JSONL checkpoint's header is for an
+// n-job grid and counts how often each job index appears after it.
 func readCheckpointJobs(t *testing.T, path string, n int, seen map[int]int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range bytes.Split(data, []byte("\n")) {
+	head, body, _ := bytes.Cut(data, []byte("\n"))
+	var h struct {
+		N int `json:"n"`
+	}
+	if err := json.Unmarshal(head, &h); err != nil {
+		t.Fatalf("checkpoint header %q: %v", head, err)
+	}
+	if h.N != n {
+		t.Fatalf("checkpoint header for a %d-job grid in a %d-job sweep", h.N, n)
+	}
+	for _, raw := range bytes.Split(body, []byte("\n")) {
 		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
 		var line struct {
 			Job int `json:"job"`
-			N   int `json:"n"`
 		}
 		if err := json.Unmarshal(raw, &line); err != nil {
 			t.Fatalf("torn checkpoint line %q: %v", raw, err)
-		}
-		if line.N != n {
-			t.Fatalf("checkpoint line for a %d-job grid in a %d-job sweep", line.N, n)
 		}
 		seen[line.Job]++
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hmccoal"
+	"hmccoal/internal/durable"
 )
 
 // Options tunes a Daemon.
@@ -413,7 +414,7 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 		ev = event{Type: evFail, ID: j.ID, Error: out.err.Error()}
 		state = StateFailed
 	default:
-		if err := writeFileAtomic(d.resultPath(j.ID), out.result); err != nil {
+		if err := durable.WriteFileAtomic(d.resultPath(j.ID), out.result); err != nil {
 			ev = event{Type: evFail, ID: j.ID, Error: fmt.Sprintf("write result: %v", err)}
 			state = StateFailed
 			break
@@ -423,6 +424,8 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 	}
 	if err := d.led.append(ev); err != nil {
 		d.logf("jobserv: %s: %v", j.ID, err)
+	} else if state != StateParked {
+		d.removeCheckpoint(j)
 	}
 
 	d.mu.Lock()
@@ -442,6 +445,26 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 	d.scheduleLocked()
 	d.cond.Broadcast()
 	d.mu.Unlock()
+}
+
+// removeCheckpoint deletes a sweep or soak job's checkpoint file. Call it
+// only once the job's terminal ledger record is durable, never on park:
+// the checkpoint is a parked or crashed job's resume state, but a settled
+// job's results live in its result file, and the checkpoint would keep a
+// second copy in the state directory forever.
+func (d *Daemon) removeCheckpoint(j *Job) {
+	if err := os.Remove(checkpointPath(d.opt.Dir, j.ID, j.Spec)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		d.logf("jobserv: %s: %v", j.ID, err)
+	}
+}
+
+// checkpointPath is where a sweep or soak job keeps its resume state.
+func checkpointPath(dir, id string, spec Spec) string {
+	name := spec.Sweep
+	if spec.Kind == KindSoak {
+		name = "soak"
+	}
+	return filepath.Join(dir, "ckpt", id+"."+name)
 }
 
 func (d *Daemon) resultPath(id string) string {
@@ -493,7 +516,7 @@ func (d *Daemon) Result(id string) ([]byte, error) {
 	if state != StateDone {
 		return nil, fmt.Errorf("jobserv: job %s is %s, not done", id, state)
 	}
-	return readAll(d.resultPath(id))
+	return os.ReadFile(d.resultPath(id))
 }
 
 // Cancel removes a queued job or interrupts a running one. Terminal jobs
@@ -515,6 +538,8 @@ func (d *Daemon) Cancel(id string) error {
 		d.mu.Unlock()
 		if err := d.led.append(event{Type: evCancel, ID: id}); err != nil {
 			d.logf("jobserv: %s: %v", id, err)
+		} else {
+			d.removeCheckpoint(j)
 		}
 		return nil
 	case StateRunning:

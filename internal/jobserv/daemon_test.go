@@ -356,6 +356,31 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// TestSettledJobsLeaveNoCheckpoints: a sweep job and a soak job that run
+// to done leave ckpt/ empty — their results live in the result files,
+// which Result still serves — so the state directory does not keep a
+// second copy of every finished job's results.
+func TestSettledJobsLeaveNoCheckpoints(t *testing.T) {
+	d := newTestDaemon(t, Options{Slots: 1, SweepWorkers: 1})
+	ids := []string{
+		mustSubmit(t, d, "a", 0, Spec{Kind: KindSweep, Sweep: "timeout", Bench: hmccoal.Benchmarks()[0], CPUs: 2, Ops: 60, Timeouts: []uint64{16, 28}}),
+		mustSubmit(t, d, "a", 0, Spec{Kind: KindSoak, Seed: 9, Runs: 2}),
+	}
+	for _, id := range ids {
+		waitDone(t, d, id, 60*time.Second)
+		if res, err := d.Result(id); err != nil || len(res) == 0 {
+			t.Errorf("result of %s: %q, %v", id, res, err)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(d.opt.Dir, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("settled job left checkpoint %s behind", e.Name())
+	}
+}
+
 // ---- crash recovery ---------------------------------------------------------
 
 // copyDir clones a quiescent state directory — the in-package stand-in for

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"hmccoal/internal/durable"
 )
 
 // The job ledger is an append-only JSONL file holding every job state
@@ -50,7 +50,7 @@ type ledger struct {
 
 // openLedger opens (creating atomically if needed) the ledger at path.
 func openLedger(path string) (*ledger, error) {
-	f, err := openDurableAppend(path)
+	f, err := durable.OpenAppend(path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("jobserv: ledger: %w", err)
 	}
@@ -109,81 +109,4 @@ func replayLedger(path string) ([]event, error) {
 		return nil, fmt.Errorf("jobserv: ledger replay: %w", err)
 	}
 	return evs, nil
-}
-
-// openDurableAppend opens path for appending, creating a missing file via
-// temp-file + atomic rename + directory fsync, so a crash during creation
-// never leaves a half-created file under the final name.
-func openDurableAppend(path string) (*os.File, error) {
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		dir := filepath.Dir(path)
-		tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-		if err != nil {
-			return nil, err
-		}
-		tmpName := tmp.Name()
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmpName)
-			return nil, err
-		}
-		if err := os.Rename(tmpName, path); err != nil {
-			os.Remove(tmpName)
-			return nil, err
-		}
-		syncDir(dir)
-	}
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-// Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
-// writeFileAtomic writes data under path via temp-file + fsync + rename +
-// dir fsync: readers see the old content or the complete new content,
-// never a torn file. Result files go through this BEFORE their "done"
-// ledger record, so a done record always implies a complete result.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// readAll is a small helper for result fetches.
-func readAll(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }

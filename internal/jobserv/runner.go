@@ -153,7 +153,7 @@ func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {
 		Sched:      sched,
 		Dispatch:   d.opt.Dispatch,
 		Progress:   ctl.progress,
-		Checkpoint: filepath.Join(ctl.dir, "ckpt", id+"."+spec.Sweep),
+		Checkpoint: checkpointPath(ctl.dir, id, spec),
 	}
 	p := spec.params()
 	ctx := ctl.ctx
@@ -256,7 +256,7 @@ func (d *Daemon) execSoak(ctl execCtl, id string, spec Spec) execOutcome {
 		Sched:      sched,
 		ReproDir:   filepath.Join(ctl.dir, "repros"),
 		Progress:   ctl.progress,
-		Checkpoint: filepath.Join(ctl.dir, "ckpt", id+".soak"),
+		Checkpoint: checkpointPath(ctl.dir, id, spec),
 	})
 	if err != nil {
 		return execOutcome{err: err}

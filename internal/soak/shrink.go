@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"hmccoal/internal/durable"
 	"hmccoal/internal/trace"
 )
 
@@ -171,7 +172,8 @@ func Shrink(sc Scenario, accs []trace.Access, run RunFunc, budget int) Repro {
 }
 
 // WriteRepro saves a repro under dir as repro-seed<seed>-run<index>.json
-// and returns the path.
+// and returns the path. The write is atomic, so a checkpointed
+// Failure.ReproPath never points at a torn file.
 func WriteRepro(dir string, r Repro) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("soak: repro dir: %w", err)
@@ -181,7 +183,7 @@ func WriteRepro(dir string, r Repro) (string, error) {
 		return "", fmt.Errorf("soak: repro: %w", err)
 	}
 	path := filepath.Join(dir, fmt.Sprintf("repro-seed%d-run%d.json", r.Scenario.Seed, r.Scenario.Index))
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+	if err := durable.WriteFileAtomic(path, append(buf, '\n')); err != nil {
 		return "", fmt.Errorf("soak: repro: %w", err)
 	}
 	return path, nil

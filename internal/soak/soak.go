@@ -11,6 +11,7 @@ package soak
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -321,21 +322,20 @@ func Soak(ctx context.Context, opts Options) (Report, error) {
 		return rep, nil
 	}
 
+	// The checkpoint key is every campaign-wide input that changes an
+	// outcome; a struct of strings and ints always encodes.
+	key, _ := json.Marshal(struct {
+		Seed                     int64
+		Backend, Frontend, Sched string
+		ShrinkBudget             int
+	}{opts.Seed, opts.Backend.String(), opts.Frontend.String(), opts.Sched.String(), opts.ShrinkBudget})
 	swOpts := sweep.Options{
 		Workers:    opts.Workers,
 		JobTimeout: opts.JobTimeout,
 		KeepGoing:  true,
 		Progress:   opts.Progress,
 		Checkpoint: opts.Checkpoint,
-	}
-	// Tag checkpoint lines with the campaign's front-end axes so a warp
-	// campaign never resumes from two-phase outcomes; default campaigns
-	// stay untagged, keeping legacy checkpoints restorable.
-	if opts.Frontend != frontend.KindTwoPhase {
-		swOpts.Frontend = opts.Frontend.String()
-	}
-	if opts.Sched != frontend.SchedFRFCFS {
-		swOpts.Sched = opts.Sched.String()
+		Key:        string(key),
 	}
 	results, err := sweep.Map(ctx, opts.Runs, swOpts, func(ctx context.Context, i int) (result, error) {
 		sc := opts.scenario(i)
@@ -363,6 +363,11 @@ func Soak(ctx context.Context, opts Options) (Report, error) {
 		return result{Ran: true, Outcome: Failed, Failure: f}, nil
 	})
 
+	// A checkpoint from another campaign is a harness error: no scenario
+	// ran, and its outcomes must not be reported as this campaign's.
+	if errors.Is(err, sweep.ErrCheckpointMismatch) {
+		return rep, err
+	}
 	// Sweep-level job errors (timeout, panic, trace generation) belong to
 	// specific job indices: surface each as a failure of its scenario.
 	jobErrs := make(map[int]string)

@@ -172,11 +172,11 @@ func TestMapBatchCheckpointInterop(t *testing.T) {
 // still restores (the old decoder-based scan lost the whole tail).
 func TestCheckpointDuplicateLinesLastWins(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	content := `{"job":0,"n":4,"result":1}
-{"job":1,"n":4,"result":10}
-{"job":2,"n":4,"res
-{"job":1,"n":4,"result":11}
-{"job":3,"n":4,"result":30}
+	content := header("", 4) + `{"job":0,"result":1}
+{"job":1,"result":10}
+{"job":2,"res
+{"job":1,"result":11}
+{"job":3,"result":30}
 `
 	if err := os.WriteFile(ckpt, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
@@ -203,8 +203,8 @@ func TestCheckpointDuplicateLinesLastWins(t *testing.T) {
 // does not decode cannot supersede an earlier good record.
 func TestCheckpointDuplicateBrokenPayloadKeptOut(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	content := `{"job":0,"n":2,"result":7}
-{"job":0,"n":2,"result":"not an int"}
+	content := header("", 2) + `{"job":0,"result":7}
+{"job":0,"result":"not an int"}
 `
 	if err := os.WriteFile(ckpt, []byte(content), 0o644); err != nil {
 		t.Fatal(err)

@@ -46,8 +46,8 @@ func TestCheckpointFlushedOnCancellation(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if lines := strings.Count(string(data), "\n"); lines != completed {
-		t.Fatalf("checkpoint holds %d lines, want %d (completed jobs)", lines, completed)
+	if lines := strings.Count(string(data), "\n") - 1; lines != completed {
+		t.Fatalf("checkpoint holds %d job lines after its header, want %d (completed jobs)", lines, completed)
 	}
 
 	// And a resumed sweep must skip exactly those jobs.

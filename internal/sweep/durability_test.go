@@ -11,7 +11,7 @@ import (
 // TestCheckpointCreationIsAtomic pins the durable-creation contract: a
 // sweep's checkpoint file is born via temp-file + rename, so after the
 // sweep the directory holds exactly the checkpoint — no orphaned temp
-// files — and the file carries every completed job.
+// files — and the file carries the header plus every completed job.
 func TestCheckpointCreationIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
@@ -32,8 +32,11 @@ func TestCheckpointCreationIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(data), "\n"); n != 6 {
-		t.Errorf("checkpoint holds %d lines, want 6", n)
+	if !strings.HasPrefix(string(data), header("", 6)) {
+		t.Errorf("checkpoint does not start with its header: %q", data)
+	}
+	if n := strings.Count(string(data), "\n"); n != 1+6 {
+		t.Errorf("checkpoint holds %d lines, want the header and 6 jobs", n)
 	}
 }
 

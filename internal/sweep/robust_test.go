@@ -181,13 +181,13 @@ func TestMapCheckpointResume(t *testing.T) {
 }
 
 // TestMapCheckpointSkipsForeignAndTruncatedLines proves restore tolerates
-// a checkpoint from a different grid size and a crash-truncated tail.
+// a line whose index lies outside the grid and a crash-truncated tail.
 func TestMapCheckpointSkipsForeignAndTruncatedLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	content := `{"job":0,"n":99,"result":7}
-{"job":1,"n":4,"result":11}
-{"job":2,"n":4,"result":22}
-{"job":3,"n":4,"resu`
+	content := header("", 4) + `{"job":99,"result":7}
+{"job":1,"result":11}
+{"job":2,"result":22}
+{"job":3,"resu`
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,8 @@ func TestMapCheckpointSkipsForeignAndTruncatedLines(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	// Jobs 1 and 2 restored; 0 (foreign n) and 3 (truncated) recomputed.
+	// Jobs 1 and 2 restored; 0 (only an out-of-range line) and 3
+	// (truncated) recomputed.
 	if r := ran.Load(); r != 2 {
 		t.Errorf("ran %d jobs, want 2", r)
 	}
@@ -240,68 +241,6 @@ func TestMapCheckpointProgressCountsRestored(t *testing.T) {
 	}
 }
 
-// TestMapCheckpointBackendTag proves backend-tagged checkpoint lines only
-// restore into a sweep with the same tag, while legacy untagged lines keep
-// restoring into untagged sweeps.
-func TestMapCheckpointBackendTag(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	content := `{"job":0,"n":4,"result":100}
-{"job":1,"n":4,"backend":"ddr","result":200}
-{"job":2,"n":4,"backend":"ideal","result":300}
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh := func(_ context.Context, i int) (int, error) { return i, nil }
-
-	// Untagged sweep: only the legacy line restores.
-	got, err := Map(context.Background(), 4, Options{Workers: 1, Checkpoint: path}, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{100, 1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("untagged sweep got %v, want %v", got, want)
-	}
-
-	// ddr-tagged sweep against the same file: only the ddr line restores;
-	// the legacy and ideal lines are foreign.
-	got, err = Map(context.Background(), 4, Options{Workers: 1, Checkpoint: path, Backend: "ddr"}, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{0, 200, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ddr sweep got %v, want %v", got, want)
-	}
-
-	// A tagged sweep writes tagged lines and resumes from its own output.
-	tagged := filepath.Join(t.TempDir(), "tagged.jsonl")
-	if _, err := Map(context.Background(), 3, Options{Workers: 1, Checkpoint: tagged, Backend: "ideal"},
-		func(_ context.Context, i int) (int, error) { return i * 7, nil }); err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Int64
-	got, err = Map(context.Background(), 3, Options{Workers: 1, Checkpoint: tagged, Backend: "ideal"},
-		func(_ context.Context, i int) (int, error) { ran.Add(1); return i * 7, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{0, 7, 14}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ideal resume got %v, want %v", got, want)
-	}
-	if r := ran.Load(); r != 0 {
-		t.Errorf("tagged resume recomputed %d jobs", r)
-	}
-	// An untagged sweep must not consume the tagged checkpoint.
-	ran.Store(0)
-	if _, err := Map(context.Background(), 3, Options{Workers: 1, Checkpoint: tagged},
-		func(_ context.Context, i int) (int, error) { ran.Add(1); return i, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if r := ran.Load(); r != 3 {
-		t.Errorf("untagged sweep restored tagged lines: only %d jobs ran", r)
-	}
-}
-
 // TestRemoteAbortLeavesResumableCheckpoint is the sweep layer's half of
 // the fault-tolerant distribution contract: a Remote sweep interrupted
 // mid-grid (a coordinator crash, a cancelled campaign) leaves a
@@ -330,12 +269,13 @@ func TestRemoteAbortLeavesResumableCheckpoint(t *testing.T) {
 		t.Fatalf("aborted sweep returned %v", err)
 	}
 
-	// The checkpoint must hold exactly the completed jobs, once each.
+	// The checkpoint must hold the header and exactly the completed jobs,
+	// once each.
 	data, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := 0
+	lines := -1 // the header
 	for _, raw := range strings.Split(string(data), "\n") {
 		if strings.TrimSpace(raw) != "" {
 			lines++

@@ -26,11 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"hmccoal/internal/durable"
 )
 
 // Options tunes a sweep.
@@ -49,15 +50,21 @@ type Options struct {
 	// reported as a JobError wrapping context.DeadlineExceeded.
 	JobTimeout time.Duration
 	// Checkpoint, when non-empty, is a JSONL file persisting completed
-	// results: one {"job":i,"n":n,"result":…} line per finished job,
-	// appended as jobs complete. Starting a sweep with an existing
-	// checkpoint restores those results by index and only runs the
-	// remainder. Lines from a different grid size and lines torn by a
-	// crash mid-write are skipped individually — the scan continues past
-	// them — and a job recorded twice (an interrupted write re-appended on
-	// resume) restores its last complete line. The result type must be
-	// JSON round-trippable for restored runs to be byte-identical.
+	// results. A new file starts with the header line {"key":…,"n":n}
+	// binding it to Key and the grid size; one {"job":i,"result":…} line
+	// per finished job follows, appended as jobs complete. Starting a sweep
+	// with an existing checkpoint restores those results by index and only
+	// runs the remainder. A file whose header differs, or that has none,
+	// fails the sweep with ErrCheckpointMismatch before any job runs. Lines
+	// torn by a crash mid-write and out-of-range indices are skipped
+	// individually — the scan continues past them — and a job recorded
+	// twice (an interrupted write re-appended on resume) restores its last
+	// complete line. The result type must be JSON round-trippable for
+	// restored runs to be byte-identical.
 	Checkpoint string
+	// Key identifies the inputs the sweep's results depend on; it is
+	// compared byte for byte with a resumed checkpoint's header.
+	Key string
 	// KeepGoing runs every job even after failures instead of cancelling
 	// the sweep at the first error. All distinct errors are aggregated in
 	// the returned error; soak harnesses use this to collect every
@@ -69,19 +76,6 @@ type Options struct {
 	// group, capped — rather than to the local core count, which would
 	// starve a many-worker cluster from a small coordinator machine.
 	Remote bool
-	// Backend tags every checkpoint line with the sweep's memory backend;
-	// on restore, lines carrying a different tag are skipped so a ddr
-	// sweep never resumes from hmc results. The empty tag is the legacy
-	// default: checkpoints written before backends existed carry no tag
-	// and keep restoring into untagged (default-backend) sweeps.
-	Backend string
-	// Frontend and Sched tag every checkpoint line with the sweep's
-	// coalescing front-end and issue policy, with the same skip-on-restore
-	// and legacy-line rules as Backend: empty tags are the two-phase /
-	// FR-FCFS defaults, and untagged lines (including every pre-frontend
-	// checkpoint) restore only into untagged sweeps.
-	Frontend string
-	Sched    string
 }
 
 // JobError wraps a job failure with the index of the job that failed.
@@ -144,19 +138,23 @@ func (o Options) workers(n int) int {
 	return w
 }
 
+// ErrCheckpointMismatch is wrapped by a sweep whose checkpoint file was
+// written for different inputs (another Key or grid size) or carries no
+// header at all. Restoring from it would print stale results, so the
+// sweep fails before any job runs.
+var ErrCheckpointMismatch = errors.New("checkpoint header does not match this sweep")
+
+// checkpointHeader is the first line of every checkpoint file.
+type checkpointHeader struct {
+	Key string `json:"key"`
+	N   int    `json:"n"`
+}
+
 // checkpointLine is one JSONL record of a completed job.
 type checkpointLine struct {
 	Job int `json:"job"`
-	N   int `json:"n"`
-	// Backend is the sweep's memory-backend tag; empty on legacy lines
-	// (and on untagged sweeps, keeping their format byte-compatible).
-	Backend string `json:"backend,omitempty"`
-	// Frontend and Sched are the coalescing front-end and issue-policy
-	// tags, empty on legacy and default-front-end lines alike.
-	Frontend string `json:"frontend,omitempty"`
-	Sched    string `json:"sched,omitempty"`
-	// Result is deferred so restore can skip records whose envelope does
-	// not match before paying for the payload.
+	// Result is deferred so restore can skip an out-of-range record
+	// before paying for the payload.
 	Result json.RawMessage `json:"result"`
 }
 
@@ -205,11 +203,14 @@ func MapBatch[T any](ctx context.Context, n, batch int, opts Options, fn func(ct
 	restored := make([]bool, n)
 	var ckpt *os.File
 	if opts.Checkpoint != "" {
-		nRestored, err := restoreCheckpoint(opts.Checkpoint, n, opts, results, restored)
+		// A struct of a string and an int always encodes.
+		header, _ := json.Marshal(checkpointHeader{Key: opts.Key, N: n})
+		header = append(header, '\n')
+		nRestored, err := restoreCheckpoint(opts.Checkpoint, header, results, restored)
 		if err != nil {
 			return results, err
 		}
-		ckpt, err = openCheckpoint(opts.Checkpoint)
+		ckpt, err = durable.OpenAppend(opts.Checkpoint, header)
 		if err != nil {
 			return results, fmt.Errorf("sweep: checkpoint: %w", err)
 		}
@@ -303,7 +304,7 @@ func MapBatch[T any](ctx context.Context, n, batch int, opts Options, fn func(ct
 					results[i] = rs[k]
 				}
 				finish(len(g), nil, func() error {
-					return appendCheckpoint(ckpt, g, n, opts, rs)
+					return appendCheckpoint(ckpt, g, rs)
 				})
 			}
 		}()
@@ -368,18 +369,18 @@ func runGroup[T any](ctx context.Context, idxs []int, opts Options, fn func(ctx 
 
 // restoreCheckpoint loads completed results from a JSONL checkpoint into
 // results/restored and reports how many were restored. A missing file is
-// an empty checkpoint. The file is scanned line by line: records from a
-// different grid size or backend, out-of-range indices, and undecodable
-// lines are skipped — and the scan continues past them, so a line torn by
-// a crash mid-append (which a resumed sweep then re-appends after) costs
-// exactly that line, never the rest of the file. Legacy lines carry no
-// backend/frontend/sched tags and restore only into untagged sweeps.
+// an empty checkpoint; an existing one must begin with exactly header, or
+// the restore fails with ErrCheckpointMismatch. The job lines after it
+// are scanned one by one: out-of-range indices and undecodable lines are
+// skipped — and the scan continues past them, so a line torn by a crash
+// mid-append (which a resumed sweep then re-appends after) costs exactly
+// that line, never the rest of the file.
 //
 // Duplicate indices are last-wins: when a job appears twice — an
 // interrupted write whose complete record was re-appended on resume — the
 // later, complete line supersedes the earlier one. A job only counts as
 // restored once, and only a line whose payload decodes can supersede.
-func restoreCheckpoint[T any](path string, n int, opts Options, results []T, restored []bool) (int, error) {
+func restoreCheckpoint[T any](path string, header []byte, results []T, restored []bool) (int, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -387,27 +388,20 @@ func restoreCheckpoint[T any](path string, n int, opts Options, results []T, res
 	if err != nil {
 		return 0, fmt.Errorf("sweep: checkpoint: %w", err)
 	}
+	if !bytes.HasPrefix(data, header) {
+		return 0, fmt.Errorf("sweep: %s: %w", path, ErrCheckpointMismatch)
+	}
 	count := 0
-	for len(data) > 0 {
-		var raw []byte
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			raw, data = data[:i], data[i+1:]
-		} else {
-			raw, data = data, nil
-		}
-		raw = bytes.TrimSpace(raw)
-		if len(raw) == 0 {
+	for _, raw := range bytes.Split(data[len(header):], []byte("\n")) {
+		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
 			continue
 		}
 		var line checkpointLine
 		if err := json.Unmarshal(raw, &line); err != nil {
 			continue // torn or corrupt line: skip it, keep scanning
 		}
-		if line.N != n || line.Backend != opts.Backend || line.Job < 0 || line.Job >= n {
+		if line.Job < 0 || line.Job >= len(results) {
 			continue
-		}
-		if line.Frontend != opts.Frontend || line.Sched != opts.Sched {
-			continue // a different front-end's results: never resume across them
 		}
 		var r T
 		if err := json.Unmarshal(line.Result, &r); err != nil {
@@ -431,7 +425,7 @@ func restoreCheckpoint[T any](path string, n int, opts Options, results []T, res
 // group as done, so a power loss can only take the lines after the last
 // sync — never reorder a complete, acknowledged line behind a torn one.
 // Does nothing when checkpointing is off.
-func appendCheckpoint[T any](f *os.File, idxs []int, n int, opts Options, rs []T) error {
+func appendCheckpoint[T any](f *os.File, idxs []int, rs []T) error {
 	if f == nil {
 		return nil
 	}
@@ -441,11 +435,7 @@ func appendCheckpoint[T any](f *os.File, idxs []int, n int, opts Options, rs []T
 		if err != nil {
 			return fmt.Errorf("sweep: checkpoint job %d: %w", i, err)
 		}
-		line, err := json.Marshal(checkpointLine{
-			Job: i, N: n,
-			Backend: opts.Backend, Frontend: opts.Frontend, Sched: opts.Sched,
-			Result: raw,
-		})
+		line, err := json.Marshal(checkpointLine{Job: i, Result: raw})
 		if err != nil {
 			return fmt.Errorf("sweep: checkpoint job %d: %w", i, err)
 		}
@@ -458,39 +448,4 @@ func appendCheckpoint[T any](f *os.File, idxs []int, n int, opts Options, rs []T
 		return fmt.Errorf("sweep: checkpoint sync: %w", err)
 	}
 	return nil
-}
-
-// openCheckpoint opens the checkpoint for appending, creating a missing
-// file via temp-file + atomic rename (plus a directory sync) so the file
-// either exists completely or not at all — a crash during creation can
-// never leave a half-born directory entry for a later resume to trip on.
-func openCheckpoint(path string) (*os.File, error) {
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		dir := filepath.Dir(path)
-		tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-		if err != nil {
-			return nil, err
-		}
-		tmpName := tmp.Name()
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmpName)
-			return nil, err
-		}
-		if err := os.Rename(tmpName, path); err != nil {
-			os.Remove(tmpName)
-			return nil, err
-		}
-		syncDir(dir)
-	}
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// syncDir fsyncs a directory so a just-renamed file's entry is durable.
-// Best-effort: filesystems that reject directory fsync lose nothing but
-// the stronger guarantee.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

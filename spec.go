@@ -88,8 +88,7 @@ type Dispatcher interface {
 // SweepCell is the universal per-job result of a sweep grid: the
 // simulation Result, or the payload analysis for the RunAll grid's
 // analysis jobs. It is what crosses the dsweep wire and what checkpoint
-// lines of the RunAll grid store (the JSON shape predates the type — old
-// checkpoints keep restoring).
+// lines of the RunAll grid store.
 type SweepCell struct {
 	Res Result          `json:"res"`
 	Pay PayloadAnalysis `json:"pay"`

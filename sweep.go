@@ -11,6 +11,11 @@ import (
 	"hmccoal/internal/workloads"
 )
 
+// ErrCheckpointMismatch is wrapped by a sweep whose SweepOptions.Checkpoint
+// file was written for a different spec or grid, or by a version that
+// wrote no header. The sweep fails before any job runs.
+var ErrCheckpointMismatch = sweep.ErrCheckpointMismatch
+
 // SweepOptions tunes the parallel evaluation sweeps (RunAllContext,
 // Figure14TableContext, …).
 type SweepOptions struct {
@@ -37,21 +42,20 @@ type SweepOptions struct {
 	Checks bool
 	// Checkpoint, when non-empty, persists each completed job to a JSONL
 	// file so an interrupted sweep resumes without recomputing (see
-	// sweep.Options.Checkpoint). Use a distinct file per sweep grid; the
-	// format is per-job, so batched and unbatched sweeps resume from each
-	// other's checkpoints.
+	// sweep.Options.Checkpoint). The file is bound to the sweep's spec, so
+	// a resume with other trace parameters, grid axes, Checks, Backend,
+	// Frontend or Sched fails with ErrCheckpointMismatch. Use a distinct
+	// file per sweep grid; Workers, Batch and Dispatch are not part of the
+	// spec, so batched and unbatched, local and distributed sweeps resume
+	// from each other's checkpoints.
 	Checkpoint string
 	// Backend selects the memory device for every simulation of the sweep
-	// (see Config.Backend). The zero value is the default HMC model; its
-	// checkpoint lines stay untagged, so pre-backend checkpoints keep
-	// resuming (sweep.Options.Backend).
+	// (see Config.Backend). The zero value is the default HMC model.
 	Backend BackendKind
 	// Frontend and Sched select the coalescing front-end and its issue
 	// policy for every simulation of the sweep (see Config.Frontend,
-	// Config.Sched). Like Backend, the zero values (two-phase, FR-FCFS)
-	// leave checkpoint lines untagged so pre-frontend checkpoints keep
-	// resuming; the StrideLadderContext grid sweeps both axes itself and
-	// ignores these.
+	// Config.Sched). The zero values are two-phase and FR-FCFS; the
+	// StrideLadderContext grid sweeps both axes itself and ignores these.
 	Frontend FrontendKind
 	Sched    SchedKind
 	// Dispatch, when non-nil, ships every job group to external executors
@@ -63,23 +67,24 @@ type SweepOptions struct {
 	Dispatch Dispatcher
 }
 
-func (o SweepOptions) engine() sweep.Options {
-	opt := sweep.Options{
+// engine configures the sweep engine for one of this option set's grids.
+// The checkpoint key is the grid's spec with Batch zeroed: lane width
+// never changes a result, so batched and unbatched runs, local and
+// distributed, resume each other's checkpoints, while any other change
+// to the spec is a checkpoint mismatch.
+func (o SweepOptions) engine(spec SweepSpec) (sweep.Options, error) {
+	spec.Batch = 0
+	key, err := json.Marshal(spec)
+	if err != nil {
+		return sweep.Options{}, fmt.Errorf("hmccoal: encode sweep spec: %w", err)
+	}
+	return sweep.Options{
 		Workers:    o.Workers,
 		Progress:   o.Progress,
 		Checkpoint: o.Checkpoint,
+		Key:        string(key),
 		Remote:     o.Dispatch != nil,
-	}
-	if o.Backend != BackendHMC {
-		opt.Backend = o.Backend.String()
-	}
-	if o.Frontend != FrontendTwoPhase {
-		opt.Frontend = o.Frontend.String()
-	}
-	if o.Sched != SchedFRFCFS {
-		opt.Sched = o.Sched.String()
-	}
-	return opt
+	}, nil
 }
 
 // spec is the serializable description of one of this option set's grids.
@@ -216,12 +221,16 @@ func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post 
 	if err != nil {
 		return nil, err
 	}
+	eng, err := opt.engine(spec)
+	if err != nil {
+		return nil, err
+	}
 	if opt.Dispatch != nil {
 		raw, err := json.Marshal(spec)
 		if err != nil {
 			return nil, fmt.Errorf("hmccoal: encode sweep spec: %w", err)
 		}
-		return sweep.MapBatch(ctx, g.n(), opt.groupSize(), opt.engine(),
+		return sweep.MapBatch(ctx, g.n(), opt.groupSize(), eng,
 			func(ctx context.Context, idxs []int) ([]T, error) {
 				cells, err := opt.Dispatch.RunGroup(ctx, raw, idxs)
 				if err != nil {
@@ -242,7 +251,7 @@ func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post 
 			})
 	}
 	tr := newTraceTable(g.benches, spec.Params, g.base.Hierarchy.CPUs, g.perBench)
-	return sweep.MapBatch(ctx, g.n(), opt.groupSize(), opt.engine(),
+	return sweep.MapBatch(ctx, g.n(), opt.groupSize(), eng,
 		func(_ context.Context, idxs []int) ([]T, error) {
 			cells, err := runSpecGroup(g, spec.Batch, idxs, tr.get)
 			if err != nil {
@@ -485,8 +494,9 @@ type StrideRun struct {
 // dispatch.
 func StrideLadderContext(ctx context.Context, p TraceParams, opt SweepOptions) ([]StrideRun, error) {
 	// The grid carries the front-end × scheduler axes in-band — every
-	// job's configuration and name come from its combo — so option-level
-	// tags would only mislabel its checkpoint lines: drop them.
+	// job's configuration and name come from its combo — so clearing the
+	// option-level axes keeps the checkpoint key independent of values
+	// the grid ignores.
 	opt.Frontend, opt.Sched = FrontendTwoPhase, SchedFRFCFS
 	names := workloads.StrideNames()
 	spec := opt.spec(SweepStride, p)

@@ -117,3 +117,73 @@ func TestSweepErrorAborts(t *testing.T) {
 		t.Error("sweep with invalid params succeeded")
 	}
 }
+
+// TestCheckpointKeyCoversSpec walks every field of SweepSpec, recursing
+// into Params, and sets each to a non-zero value: the checkpoint key must
+// change for every field but Batch, which must leave it unchanged. A knob
+// added to the spec later therefore cannot escape the key and let a
+// resume restore results computed for other inputs.
+func TestCheckpointKeyCoversSpec(t *testing.T) {
+	key := func(s SweepSpec) string {
+		t.Helper()
+		eng, err := SweepOptions{}.engine(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng.Key
+	}
+	base := key(SweepSpec{})
+
+	var nonZero func(path string, v reflect.Value)
+	nonZero = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Uint64:
+			v.SetUint(7)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Slice:
+			s := reflect.MakeSlice(v.Type(), 1, 1)
+			nonZero(path+"[0]", s.Index(0))
+			v.Set(s)
+		default:
+			t.Fatalf("%s: no non-zero value for kind %v; extend the test", path, v.Kind())
+		}
+	}
+
+	var walk func(prefix string, typ reflect.Type, field func(s *SweepSpec) reflect.Value)
+	visited := map[string]bool{}
+	walk = func(prefix string, typ reflect.Type, field func(s *SweepSpec) reflect.Value) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			path := prefix + f.Name
+			get := func(s *SweepSpec) reflect.Value { return field(s).Field(i) }
+			if f.Type.Kind() == reflect.Struct {
+				walk(path+".", f.Type, get)
+				continue
+			}
+			visited[path] = true
+			var s SweepSpec
+			nonZero(path, get(&s))
+			changed := key(s) != base
+			if path == "Batch" && changed {
+				t.Errorf("Batch changes the checkpoint key; batched and unbatched runs must share checkpoints")
+			}
+			if path != "Batch" && !changed {
+				t.Errorf("SweepSpec.%s is not part of the checkpoint key", path)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(SweepSpec{}), func(s *SweepSpec) reflect.Value { return reflect.ValueOf(s).Elem() })
+
+	for _, want := range []string{"Kind", "Batch", "Params.CPUs", "Params.OpsPerCPU", "Params.Seed", "Params.ThinkScale"} {
+		if !visited[want] {
+			t.Errorf("walk never reached SweepSpec.%s", want)
+		}
+	}
+}
