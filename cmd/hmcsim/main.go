@@ -115,7 +115,7 @@ func run(argv []string) int {
 			var last uint64
 			n := (1 << 24) / int(sz) // fixed 16 MiB of payload
 			for j := 0; j < n; j++ {
-				done, err := dev.Submit(0, hmc.Request{
+				comp, err := dev.SubmitPacket(0, hmc.Request{
 					Addr:           uint64(j) * 256,
 					PacketBytes:    sz,
 					RequestedBytes: sz,
@@ -123,8 +123,8 @@ func run(argv []string) int {
 				if err != nil {
 					return "", err
 				}
-				if done > last {
-					last = done
+				if comp.Done > last {
+					last = comp.Done
 				}
 			}
 			s := dev.Stats()

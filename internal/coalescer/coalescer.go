@@ -9,6 +9,10 @@
 // pushes LLC misses in non-decreasing tick order and the coalescer reports
 // memory requests through the Issue callback and data returns through the
 // Complete callback. All latency accounting (Figures 12–14) happens here.
+//
+// The second phase — CRQ, MSHRs, issue, retry and watchdog — is Stage,
+// which the coalescer embeds and the warp front-end (internal/frontend)
+// embeds too, so both front-ends issue memory through the same code.
 package coalescer
 
 import (
@@ -25,34 +29,6 @@ import (
 // errors.Is(err, ErrWatchdog) to tell this expected outcome apart from a
 // conservation violation.
 var ErrWatchdog = errors.New("watchdog")
-
-// Sched selects the issue policy the CRQ head uses when dispatching
-// packets into the MSHRs. The zero value is the strict first-ready FCFS
-// order every configuration used before schedulers existed.
-type Sched int
-
-// Issue policies.
-const (
-	// SchedFRFCFS services the CRQ strictly in FIFO arrival order, issuing
-	// the head as soon as it is ready — the paper's implicit policy.
-	SchedFRFCFS Sched = iota
-	// SchedHetero is the heterogeneity-aware policy: among ready packets it
-	// prefers criticality-hinted requests (demand loads a core blocks on)
-	// and, within a criticality class, the lane that has moved the fewest
-	// bytes so far — deprioritizing bandwidth-hog cores so a streaming
-	// accelerator cannot starve latency-sensitive CPUs. Ties fall back to
-	// FIFO order, keeping the policy deterministic.
-	SchedHetero
-)
-
-// Validate rejects scheduler values no issue path exists for.
-func (s Sched) Validate() error {
-	switch s {
-	case SchedFRFCFS, SchedHetero:
-		return nil
-	}
-	return fmt.Errorf("coalescer: unknown scheduler %d", int(s))
-}
 
 // Config parameterizes the coalescer. The zero value is not valid; start
 // from DefaultConfig.
@@ -87,13 +63,11 @@ type Config struct {
 	SecondPhase bool
 	// Bypass enables the §4.2 idle path: while the CRQ is empty, the input
 	// buffer is empty and MSHRs are free, raw requests skip the sorter and
-	// go straight to the MSHRs.
+	// go straight to the MSHRs. It re-arms only after the memory system
+	// has stayed fully idle for 2048 cycles: §4.2 aims it at program start
+	// and blocking calls (I/O, thread communication), not at
+	// sub-microsecond traffic valleys.
 	Bypass bool
-	// BypassRearmCycles is how long the memory system must stay fully idle
-	// before the stage select re-arms the bypass. §4.2 aims the bypass at
-	// program start and blocking calls (I/O, thread communication), not at
-	// sub-microsecond traffic valleys. 0 means the default (2048 cycles).
-	BypassRearmCycles uint64
 	// AdaptiveTimeout implements the paper's §5.3.3 conclusion that "it is
 	// ideal to equate the timeout with the average coalescing latency": the
 	// input-buffer timeout tracks an exponential moving average of the
@@ -103,9 +77,8 @@ type Config struct {
 
 	// RetryBackoffCycles is the base delay before a failed (poisoned)
 	// packet's span is re-issued; the backoff doubles per attempt up to
-	// RetryBackoffCap. Zero means the defaults (64 and 4096 cycles).
+	// 4096 cycles. Zero means the default (64 cycles).
 	RetryBackoffCycles uint64
-	RetryBackoffCap    uint64
 	// MaxPacketRetries bounds re-issues per failed span; a span that still
 	// fails past the cap completes with its error bit set so waiters are
 	// never stranded. Zero means the default (8).
@@ -119,10 +92,6 @@ type Config struct {
 	// the defaults (64 packets, 0.25).
 	DegradeWindow    int
 	DegradeThreshold float64
-
-	// Sched selects the CRQ issue policy. The zero value (SchedFRFCFS) is
-	// the strict FIFO order of every pre-scheduler configuration.
-	Sched Sched
 }
 
 // DefaultConfig returns the paper's evaluation configuration with both
@@ -195,91 +164,50 @@ type IssueFunc func(tick uint64, e *mshr.Entry) IssueResult
 // memory error instead of a fill.
 type CompleteFunc func(tick uint64, subs []mshr.Sub, fault bool)
 
-// Coalescer is the two-phase memory coalescer.
+// Coalescer is the two-phase memory coalescer: the sorter and DMC unit of
+// the first phase in front of the shared CRQ-to-memory Stage. Degraded
+// mode is its packet-admission policy on that stage.
 type Coalescer struct {
-	cfg      Config
-	net      *sortnet.Network
-	pipe     *sortnet.Pipeline
-	file     *mshr.File
-	issue    IssueFunc
-	complete CompleteFunc
+	Stage
+
+	net  *sortnet.Network
+	pipe *sortnet.Pipeline
 
 	pending      []pendingReq // input buffer feeding the sorter
 	pendingSince uint64       // tick the oldest pending request arrived
 	sortFree     uint64       // next tick the sorter's first stage is free
 	curTimeout   uint64       // effective timeout (EWMA when adaptive)
 
-	// The CRQ is a power-of-two ring buffer: crqBuf[crqHead] is the FIFO
-	// head and crqLen its occupancy. Popping the head is an index bump, not
-	// a reslice, so the backing array is reused for the whole run.
-	crqBuf  []packet
-	crqHead int
-	crqLen  int
-
 	// flushKeys/flushPad are the sorter's Width-sized working arrays,
 	// allocated once; padSwap is the sorter's swap callback over flushPad,
 	// built once so flush does not allocate a closure per sequence.
-	// targetPool recycles packet target slices retired from the CRQ back to
-	// the DMC unit and the bypass path.
-	flushKeys  []uint64
-	flushPad   []pendingReq
-	padSwap    func(i, j int)
-	targetPool [][]mshr.Target
+	flushKeys []uint64
+	flushPad  []pendingReq
+	padSwap   func(i, j int)
 
-	inflight    []completion
-	freedAt     uint64 // tick of the most recent MSHR entry release
-	lastIssue   uint64 // tick of the most recent memory dispatch
-	lastAdvance uint64 // latest tick Advance has processed
-	bypassOn    bool   // §4.2 stage-select state: idle bypass armed
-	idleSince   uint64 // first tick of the current full-idle span (^0 = busy)
-	fillStart   uint64 // start of the current CRQ fill episode
-	fillCount   int    // packets supplied in the current episode
-	stats       Stats
-	linesBlock  uint64 // lines per HMC block
+	bypassOn   bool   // §4.2 stage-select state: idle bypass armed
+	idleSince  uint64 // first tick of the current full-idle span (^0 = busy)
+	linesBlock uint64 // lines per HMC block
 
-	// laneBytes is the heterogeneity-aware scheduler's per-lane issued-byte
-	// account, indexed by Request.CPU. It is nil under FR-FCFS, so the
-	// default configuration allocates and pays nothing for scheduling.
-	laneBytes []uint64
-
-	// Fault-recovery state. retryQ is a min-heap of failed spans awaiting
-	// re-issue after backoff, ordered by (ready, seq) so retries release
-	// deterministically. faultWin is the degraded-mode sliding window over
-	// issue outcomes; it is allocated lazily on the first observed link
-	// error so the no-fault path stays allocation-identical.
-	retryQ     []packet
-	retrySeq   uint64
+	// Degraded-mode state. faultWin is the sliding window over issue
+	// outcomes; it is allocated lazily on the first observed link error so
+	// the no-fault path stays allocation-identical.
 	faultWin   []bool
 	faultPos   int
 	faultCnt   int
 	degraded   bool
 	degradedAt uint64 // tick degraded mode was last entered
-
-	// check is the optional invariant checker (nil = disabled, free).
-	// viol latches the first conservation violation: the former panic
-	// sites record here and the event loop aborts on the next poll.
-	check *invariant.Checker
-	viol  error
 }
+
+// bypassRearmCycles is how long the memory system must stay fully idle
+// before the stage select re-arms the §4.2 bypass.
+const bypassRearmCycles = 2048
 
 // pendingReq is an input-buffer slot: the request plus its arrival tick,
 // needed for the per-request coalescer latency of Figure 14.
 type pendingReq struct {
 	Request
 	pushTick uint64
-}
-
-type packet struct {
-	baseLine uint64
-	lines    int
-	write    bool
-	targets  []mshr.Target
-	ready    uint64 // tick the packet entered the CRQ
-	blocked  bool   // a previous insert attempt found the file packed
-	attempt  int    // how many times this span has already failed
-	seq      uint64 // retry-queue tie-break, in failure order
-	cpu      uint8  // issuing lane (scheduler fairness key)
-	critical bool   // criticality hint carried from the request
 }
 
 // Validate checks the configuration without building anything. New calls
@@ -301,9 +229,6 @@ func (cfg Config) Validate() error {
 	if cfg.DegradeThreshold < 0 || cfg.DegradeThreshold > 1 {
 		return fmt.Errorf("coalescer: degrade threshold %v outside [0,1]", cfg.DegradeThreshold)
 	}
-	if err := cfg.Sched.Validate(); err != nil {
-		return err
-	}
 	mcfg := cfg.MSHR
 	mcfg.LineBytes = cfg.LineBytes
 	mcfg.BlockBytes = cfg.BlockBytes
@@ -313,12 +238,11 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// New builds a coalescer. issue and complete must be non-nil.
-func New(cfg Config, issue IssueFunc, complete CompleteFunc) (*Coalescer, error) {
-	if issue == nil || complete == nil {
-		return nil, fmt.Errorf("coalescer: nil callback")
-	}
-	if err := cfg.Validate(); err != nil {
+// New builds a coalescer issuing under the given policy. issue and
+// complete must be non-nil.
+func New(cfg Config, sched Sched, issue IssueFunc, complete CompleteFunc) (*Coalescer, error) {
+	stage, err := NewStage(cfg, sched, issue, complete)
+	if err != nil {
 		return nil, err
 	}
 	net, err := sortnet.New(cfg.Width)
@@ -329,21 +253,10 @@ func New(cfg Config, issue IssueFunc, complete CompleteFunc) (*Coalescer, error)
 	if err != nil {
 		return nil, err
 	}
-	mcfg := cfg.MSHR
-	mcfg.LineBytes = cfg.LineBytes
-	mcfg.BlockBytes = cfg.BlockBytes
-	mcfg.DisableMerge = !cfg.SecondPhase
-	file, err := mshr.NewFile(mcfg)
-	if err != nil {
-		return nil, err
-	}
 	c := &Coalescer{
-		cfg:        cfg,
+		Stage:      stage,
 		net:        net,
 		pipe:       pipe,
-		file:       file,
-		issue:      issue,
-		complete:   complete,
 		linesBlock: uint64(cfg.BlockBytes / cfg.LineBytes),
 		curTimeout: cfg.TimeoutCycles,
 		bypassOn:   true,       // §4.2: the bypass is armed at boot
@@ -351,61 +264,10 @@ func New(cfg Config, issue IssueFunc, complete CompleteFunc) (*Coalescer, error)
 		flushKeys:  make([]uint64, cfg.Width),
 		flushPad:   make([]pendingReq, cfg.Width),
 	}
+	c.policy = c
 	pad := c.flushPad
 	c.padSwap = func(i, j int) { pad[i], pad[j] = pad[j], pad[i] }
-	if cfg.Sched == SchedHetero {
-		c.laneBytes = make([]uint64, 256) // full uint8 lane space
-	}
 	return c, nil
-}
-
-// getTargets hands out an empty target slice, recycled when possible.
-func (c *Coalescer) getTargets() []mshr.Target {
-	if n := len(c.targetPool); n > 0 {
-		t := c.targetPool[n-1]
-		c.targetPool = c.targetPool[:n-1]
-		return t[:0]
-	}
-	return make([]mshr.Target, 0, c.cfg.Width)
-}
-
-// putTargets returns a retired packet's target slice to the pool.
-func (c *Coalescer) putTargets(t []mshr.Target) {
-	if cap(t) > 0 {
-		c.targetPool = append(c.targetPool, t)
-	}
-}
-
-// crqFront returns the FIFO head packet. The CRQ must be non-empty.
-func (c *Coalescer) crqFront() *packet {
-	return &c.crqBuf[c.crqHead]
-}
-
-// crqPush appends a packet at the ring's tail, growing it as needed.
-func (c *Coalescer) crqPush(p packet) {
-	if c.crqLen == len(c.crqBuf) {
-		size := len(c.crqBuf) * 2
-		if size == 0 {
-			size = 16
-		}
-		grown := make([]packet, size)
-		for i := 0; i < c.crqLen; i++ {
-			grown[i] = c.crqBuf[(c.crqHead+i)&(len(c.crqBuf)-1)]
-		}
-		c.crqBuf = grown
-		c.crqHead = 0
-	}
-	c.crqBuf[(c.crqHead+c.crqLen)&(len(c.crqBuf)-1)] = p
-	c.crqLen++
-}
-
-// crqPop retires the FIFO head, recycling its target slice.
-func (c *Coalescer) crqPop() {
-	p := &c.crqBuf[c.crqHead]
-	c.putTargets(p.targets)
-	p.targets = nil
-	c.crqHead = (c.crqHead + 1) & (len(c.crqBuf) - 1)
-	c.crqLen--
 }
 
 // Timeout returns the effective input-buffer timeout: the configured value,
@@ -429,73 +291,20 @@ func (c *Coalescer) adaptTimeout(cost uint64) {
 	c.curTimeout = next
 }
 
-// Config returns the coalescer configuration.
-func (c *Coalescer) Config() Config { return c.cfg }
-
-// SetChecker attaches a runtime invariant checker to the coalescer and its
-// MSHR file. A nil checker (the default) disables continuous checking.
-func (c *Coalescer) SetChecker(ck *invariant.Checker) {
-	c.check = ck
-	c.file.SetChecker(ck)
-}
-
-// Err returns the first conservation violation the coalescer hit, or nil.
-// The violation is sticky: once set, further simulation is untrustworthy
-// and the caller should abort the run.
-func (c *Coalescer) Err() error { return c.viol }
-
-// setViol latches a violation (first one wins) and records it with the
-// attached checker, if any.
-func (c *Coalescer) setViol(v *invariant.Violation) {
-	c.check.Record(v)
-	if c.viol == nil {
-		c.viol = v
-	}
-}
-
 // CheckDrained audits the end-of-run conservation laws: after Drain every
 // queue must be empty and every MSHR entry free. It returns the first
 // violation found, or nil on a clean coalescer.
 func (c *Coalescer) CheckDrained(tick uint64) error {
 	if n := len(c.pending); n != 0 {
-		return c.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
+		return c.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
 			c.DebugState(), "%d request(s) left in the input buffer after drain", n))
 	}
-	if c.crqLen != 0 {
-		return c.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
-			c.DebugState(), "%d packet(s) left in the CRQ after drain", c.crqLen))
-	}
-	if n := len(c.retryQ); n != 0 {
-		return c.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
-			c.DebugState(), "%d failed span(s) left in the retry queue after drain", n))
-	}
-	if n := len(c.inflight); n != 0 {
-		return c.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
-			c.DebugState(), "%d request(s) still in flight after drain", n))
-	}
-	return c.file.CheckLeaks(tick)
+	return c.Stage.CheckDrained(tick)
 }
-
-// MSHRStats exposes the MSHR file counters.
-func (c *Coalescer) MSHRStats() mshr.Stats { return c.file.Stats() }
-
-// Outstanding reports how many memory requests are in flight.
-func (c *Coalescer) Outstanding() int { return len(c.inflight) }
 
 // QueueDepths reports the occupancy of the input buffer and the CRQ,
 // for diagnostics.
 func (c *Coalescer) QueueDepths() (pending, crq int) { return len(c.pending), c.crqLen }
-
-// DebugState renders internal queue state for deadlock diagnostics.
-func (c *Coalescer) DebugState() string {
-	s := fmt.Sprintf("lastAdvance=%d freedAt=%d lastIssue=%d free=%d", c.lastAdvance, c.freedAt, c.lastIssue, c.file.Free())
-	if c.crqLen > 0 {
-		p := *c.crqFront()
-		s += fmt.Sprintf(" head{base=%d lines=%d write=%v ready=%d blocked=%v targets=%d}",
-			p.baseLine, p.lines, p.write, p.ready, p.blocked, len(p.targets))
-	}
-	return s
-}
 
 // Push presents one LLC request at the given tick. Ticks must be
 // non-decreasing across Push/Fence/Advance calls.
@@ -506,12 +315,12 @@ func (c *Coalescer) Push(now uint64, r Request) {
 
 	if !c.cfg.FirstPhase {
 		// Conventional MHA: the miss goes straight at the MSHRs.
-		c.enqueuePacket(now, packet{
-			baseLine: r.Line, lines: 1, write: r.Write,
-			targets: append(c.getTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
-			ready:   now, cpu: r.CPU, critical: r.Critical,
+		c.admit(now, Packet{
+			BaseLine: r.Line, Lines: 1, Write: r.Write,
+			Targets: append(c.GetTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
+			Ready:   now, CPU: r.CPU, Critical: r.Critical,
 		})
-		c.drainCRQ(now)
+		c.Dispatch(now)
 		return
 	}
 
@@ -526,11 +335,7 @@ func (c *Coalescer) Push(now uint64, r Request) {
 		if c.idleSince == ^uint64(0) {
 			c.idleSince = now
 		}
-		rearm := c.cfg.BypassRearmCycles
-		if rearm == 0 {
-			rearm = 2048
-		}
-		if now-c.idleSince >= rearm {
+		if now-c.idleSince >= bypassRearmCycles {
 			c.bypassOn = true
 		}
 	} else {
@@ -539,12 +344,12 @@ func (c *Coalescer) Push(now uint64, r Request) {
 	if c.cfg.Bypass && c.bypassOn && len(c.pending) == 0 && c.crqLen == 0 && len(c.retryQ) == 0 && !c.file.Full() {
 		// Idle coalescer, free MSHRs — skip the sorter entirely.
 		c.stats.Bypassed++
-		c.enqueuePacket(now, packet{
-			baseLine: r.Line, lines: 1, write: r.Write,
-			targets: append(c.getTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
-			ready:   now, cpu: r.CPU, critical: r.Critical,
+		c.admit(now, Packet{
+			BaseLine: r.Line, Lines: 1, Write: r.Write,
+			Targets: append(c.GetTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
+			Ready:   now, CPU: r.CPU, Critical: r.Critical,
 		})
-		c.drainCRQ(now)
+		c.Dispatch(now)
 		return
 	}
 
@@ -573,137 +378,43 @@ func (c *Coalescer) Fence(now uint64) {
 	}
 }
 
-// Advance processes time up to now: expires the input-buffer timeout,
-// releases backed-off retries that fell due, and delivers any memory
-// responses due at or before now.
+// Advance processes time up to now: releases backed-off retries that fell
+// due, delivers any memory responses due at or before now and expires the
+// input-buffer timeout.
 func (c *Coalescer) Advance(now uint64) {
-	if now > c.lastAdvance {
-		c.lastAdvance = now
-	}
-	c.releaseRetries(now)
-	for len(c.inflight) > 0 && c.inflight[0].tick <= now {
-		c.completeOne()
-	}
+	c.Settle(now)
 	if len(c.pending) > 0 && now >= c.pendingSince+c.curTimeout {
 		c.flush(c.pendingSince+c.curTimeout, flushTimeout)
 		// A timeout flush may have freed the way for in-flight work.
-		for len(c.inflight) > 0 && c.inflight[0].tick <= now {
-			c.completeOne()
-		}
+		c.Deliver(now)
 	}
-	c.drainCRQ(now)
-}
-
-// releaseRetries moves failed spans whose backoff has expired back into
-// the CRQ as fresh non-coalesced packets.
-func (c *Coalescer) releaseRetries(now uint64) {
-	for len(c.retryQ) > 0 && c.retryQ[0].ready <= now {
-		var p packet
-		c.retryQ, p = retryPop(c.retryQ)
-		c.enqueuePacket(p.ready, p)
-	}
+	c.Dispatch(now)
 }
 
 // NextEvent returns the earliest tick at which Advance will make further
 // progress — a pending-buffer timeout expiry, a packet becoming ready for
 // the CRQ, or a memory response — and whether any such event exists.
-// Simulators use it to advance time while a CPU is stalled. Events already
-// processed are excluded: a CRQ head that became ready in the past but is
-// blocked on a packed MSHR file only progresses at the next completion.
+// Simulators use it to advance time while a CPU is stalled.
 func (c *Coalescer) NextEvent() (uint64, bool) {
-	next := ^uint64(0)
-	if len(c.pending) > 0 {
+	next, _ := c.Stage.NextEvent()
+	if len(c.pending) > 0 && c.pendingSince+c.curTimeout < next {
 		next = c.pendingSince + c.curTimeout
-	}
-	if len(c.inflight) > 0 && c.inflight[0].tick < next {
-		next = c.inflight[0].tick
-	}
-	if len(c.retryQ) > 0 && c.retryQ[0].ready < next {
-		next = c.retryQ[0].ready
-	}
-	if c.crqLen > 0 {
-		if ready := c.crqNextReady(); ready > c.lastAdvance && ready < next {
-			next = ready
-		}
 	}
 	return next, next != ^uint64(0)
 }
 
-// crqNextReady returns the earliest ready tick among queued packets: the
-// head's under FIFO (strict order), the minimum over the whole CRQ under
-// the heterogeneity-aware scheduler — which may issue out of FIFO order,
-// so a later packet becoming ready is a real event.
-func (c *Coalescer) crqNextReady() uint64 {
-	if c.laneBytes == nil || c.crqFront().blocked {
-		return c.crqFront().ready
-	}
-	next := c.crqFront().ready
-	mask := len(c.crqBuf) - 1
-	for i := 1; i < c.crqLen; i++ {
-		if r := c.crqBuf[(c.crqHead+i)&mask].ready; r < next {
-			next = r
-		}
-	}
-	return next
-}
-
 // Drain flushes all pending state and runs the clock forward until every
 // outstanding request has completed. It returns the tick at which the
-// memory system went idle.
-//
-// If the only outstanding responses are ones that will never arrive
-// (dropped on a faulty link), Drain returns a watchdog error naming the
-// oldest of them instead of looping forever — the caller decides how to
-// report it.
+// memory system went idle, or the stage's watchdog error when the only
+// outstanding responses will never arrive.
 func (c *Coalescer) Drain(now uint64) (uint64, error) {
 	c.Advance(now)
 	if len(c.pending) > 0 {
 		c.flush(now, flushDrain)
 	}
-	idle := now
-	for len(c.inflight) > 0 || c.crqLen > 0 || len(c.retryQ) > 0 {
-		if c.viol != nil {
-			return idle, c.viol
-		}
-		next := ^uint64(0)
-		if len(c.inflight) > 0 && c.inflight[0].tick != NeverTick {
-			next = c.inflight[0].tick
-		}
-		if len(c.retryQ) > 0 && c.retryQ[0].ready < next {
-			next = c.retryQ[0].ready
-		}
-		if c.crqLen > 0 {
-			if ready := c.crqNextReady(); ready > idle && ready < next {
-				next = ready
-			}
-		}
-		if next == ^uint64(0) {
-			if w, ok := c.Watchdog(); ok {
-				// Everything still in flight is a dropped response: no
-				// event will ever fire again. Report instead of hanging.
-				return idle, c.watchdogError(w)
-			}
-			// The CRQ head is ready but blocked with nothing in flight.
-			// A blocked head implies a full MSHR file, and every allocated
-			// entry is in flight — so this state indicates a bug. Report it
-			// as a structured violation instead of tearing the process down.
-			v := invariant.Violatef(invariant.RuleCRQStuck, idle, c.DebugState(),
-				"CRQ stuck with no requests in flight (%d queued, MSHR free=%d)",
-				c.crqLen, c.file.Free())
-			c.setViol(v)
-			return idle, v
-		}
-		if next > idle {
-			idle = next
-		}
-		c.releaseRetries(idle)
-		if len(c.inflight) > 0 && c.inflight[0].tick <= idle {
-			c.completeOne()
-		}
-		c.drainCRQ(idle)
-	}
-	if c.viol != nil {
-		return idle, c.viol
+	idle, err := c.Stage.Drain(now)
+	if err != nil {
+		return idle, err
 	}
 	if c.degraded {
 		// Close the open degraded interval so the stats cover the run.
@@ -713,77 +424,10 @@ func (c *Coalescer) Drain(now uint64) (uint64, error) {
 	return idle, nil
 }
 
-func (c *Coalescer) completeOne() {
-	var item completion
-	c.inflight, item = completionPop(c.inflight)
-	e := item.entry
-	// Capture the span before Complete invalidates the entry: a poisoned
-	// response may need to re-issue exactly these lines.
-	baseLine, lines, write := e.BaseLine(), e.Lines(), e.Write()
-	subs, err := c.file.Complete(e)
-	if err != nil {
-		if v, ok := invariant.As(err); ok {
-			c.setViol(v)
-		} else if c.viol == nil {
-			c.viol = err
-		}
-		return
-	}
-	c.freedAt = item.tick
-	if item.fault && item.attempt < c.maxPacketRetries() {
-		c.requeueFailed(item.tick, item.attempt, baseLine, lines, write, subs, item.cpu, item.critical)
-	} else {
-		if item.fault {
-			c.stats.FailedTargets += uint64(len(subs))
-		}
-		c.complete(item.tick, subs, item.fault)
-	}
-	c.drainCRQ(item.tick)
-}
-
-func (c *Coalescer) maxPacketRetries() int {
-	if c.cfg.MaxPacketRetries == 0 {
-		return 8
-	}
-	return c.cfg.MaxPacketRetries
-}
-
-// requeueFailed schedules a failed span for re-issue as a fresh packet —
-// deliberately not re-coalesced: it goes straight back to the CRQ — after
-// a capped exponential backoff.
-func (c *Coalescer) requeueFailed(now uint64, attempt int, baseLine uint64, lines int, write bool, subs []mshr.Sub, cpu uint8, critical bool) {
-	base := c.cfg.RetryBackoffCycles
-	if base == 0 {
-		base = 64
-	}
-	cap := c.cfg.RetryBackoffCap
-	if cap == 0 {
-		cap = 4096
-	}
-	backoff := base << uint(attempt)
-	if backoff > cap || backoff < base { // < base catches shift overflow
-		backoff = cap
-	}
-	c.stats.RetriedPackets++
-	c.stats.RetryBackoffCycles += backoff
-	// subs alias the entry's reusable backing; rebuild durable targets now.
-	targets := c.getTargets()
-	for _, s := range subs {
-		targets = append(targets, mshr.Target{Line: baseLine + uint64(s.LineID), Token: s.Token, Payload: s.Payload})
-	}
-	p := packet{
-		baseLine: baseLine, lines: lines, write: write, targets: targets,
-		ready: now + backoff, attempt: attempt + 1, seq: c.retrySeq,
-		cpu: cpu, critical: critical,
-	}
-	c.retrySeq++
-	c.retryQ = retryPush(c.retryQ, p)
-}
-
-// noteIssue feeds one issue outcome into the degraded-mode sliding window.
+// observe feeds one issue outcome into the degraded-mode sliding window.
 // The window is allocated on the first observed error, so a clean run
 // never pays for it.
-func (c *Coalescer) noteIssue(now uint64, res IssueResult) {
+func (c *Coalescer) observe(now uint64, res IssueResult) {
 	errored := res.Fault || res.Dropped || res.Retries > 0
 	if c.faultWin == nil {
 		if !errored {
@@ -828,82 +472,3 @@ func (c *Coalescer) noteIssue(now uint64, res IssueResult) {
 // Degraded reports whether the DMC is currently capping packets at one
 // cache line because of the observed link error rate.
 func (c *Coalescer) Degraded() bool { return c.degraded }
-
-// WatchdogInfo describes the oldest memory response that will never
-// arrive, for the simulator's watchdog diagnostic.
-type WatchdogInfo struct {
-	// Dropped is how many in-flight responses will never arrive.
-	Dropped int
-	// Line is the base cache line of the oldest dropped entry; Lines and
-	// Write complete its span, Waiters its subentry count.
-	Line    uint64
-	Lines   int
-	Write   bool
-	Waiters int
-	// Entry is the owning MSHR entry's slot in the file.
-	Entry int
-	// IssuedAt is the tick the doomed request was dispatched.
-	IssuedAt uint64
-}
-
-// Watchdog scans the in-flight set for responses that will never arrive
-// and, if any exist, describes the oldest (by issue tick, then MSHR slot —
-// a total order independent of heap layout).
-func (c *Coalescer) Watchdog() (WatchdogInfo, bool) {
-	var w WatchdogInfo
-	for i := range c.inflight {
-		it := &c.inflight[i]
-		if it.tick != NeverTick {
-			continue
-		}
-		w.Dropped++
-		e := it.entry
-		if w.Dropped == 1 || it.issuedAt < w.IssuedAt ||
-			(it.issuedAt == w.IssuedAt && e.Index() < w.Entry) {
-			w.Line = e.BaseLine()
-			w.Lines = e.Lines()
-			w.Write = e.Write()
-			w.Waiters = len(e.Subs())
-			w.Entry = e.Index()
-			w.IssuedAt = it.issuedAt
-		}
-	}
-	return w, w.Dropped > 0
-}
-
-// DoomedTokens calls fn for every waiter token attached to an in-flight
-// request whose response will never arrive (a dropped packet). Such
-// tokens are permanently leaked — the completion path that would recycle
-// them is unreachable — so a token-ring allocator that wraps onto one of
-// their slots may reclaim the slot instead of reporting reuse.
-func (c *Coalescer) DoomedTokens(fn func(token uint64)) {
-	for i := range c.inflight {
-		it := &c.inflight[i]
-		if it.tick != NeverTick {
-			continue
-		}
-		for _, sub := range it.entry.Subs() {
-			fn(sub.Token)
-		}
-	}
-}
-
-// WatchdogError renders the watchdog diagnostic as an error, or nil when
-// every in-flight response is still expected.
-func (c *Coalescer) WatchdogError() error {
-	w, ok := c.Watchdog()
-	if !ok {
-		return nil
-	}
-	return c.watchdogError(w)
-}
-
-// watchdogError renders a deterministic diagnostic for a drained-out run
-// whose remaining responses will never arrive. The ErrWatchdog sentinel is
-// spliced in with %w so soak harnesses can classify the error while the
-// rendered message stays stable.
-func (c *Coalescer) watchdogError(w WatchdogInfo) error {
-	return fmt.Errorf("coalescer: %w: %d response(s) never arrived; oldest: line %d "+
-		"(MSHR entry %d, %d lines, write=%v, %d waiters, issued at %d); %s",
-		ErrWatchdog, w.Dropped, w.Line, w.Entry, w.Lines, w.Write, w.Waiters, w.IssuedAt, c.DebugState())
-}

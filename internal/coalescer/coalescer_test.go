@@ -27,7 +27,7 @@ type issueRecord struct {
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	h := &harness{memLatency: 400, completed: map[uint64]uint64{}}
-	c, err := New(cfg,
+	c, err := New(cfg, SchedFRFCFS,
 		func(tick uint64, e *mshr.Entry) IssueResult {
 			h.issues = append(h.issues, issueRecord{tick, e.BaseLine(), e.Lines(), e.Write()})
 			return IssueResult{Done: tick + h.memLatency}
@@ -56,20 +56,20 @@ func noBypass() Config {
 func TestNewValidation(t *testing.T) {
 	cb := func(uint64, *mshr.Entry) IssueResult { return IssueResult{} }
 	cc := func(uint64, []mshr.Sub, bool) {}
-	if _, err := New(DefaultConfig(), nil, cc); err == nil {
+	if _, err := New(DefaultConfig(), SchedFRFCFS, nil, cc); err == nil {
 		t.Error("nil issue accepted")
 	}
-	if _, err := New(DefaultConfig(), cb, nil); err == nil {
+	if _, err := New(DefaultConfig(), SchedFRFCFS, cb, nil); err == nil {
 		t.Error("nil complete accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.Width = 12
-	if _, err := New(cfg, cb, cc); err == nil {
+	if _, err := New(cfg, SchedFRFCFS, cb, cc); err == nil {
 		t.Error("non-power-of-two width accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.LineBytes = 0
-	if _, err := New(cfg, cb, cc); err == nil {
+	if _, err := New(cfg, SchedFRFCFS, cb, cc); err == nil {
 		t.Error("zero line size accepted")
 	}
 }

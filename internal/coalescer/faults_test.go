@@ -25,7 +25,7 @@ func newFaultHarness(t *testing.T, cfg Config, verdicts []IssueResult) *faultHar
 		latency: 400, verdicts: verdicts,
 		completed: map[uint64]uint64{}, faulted: map[uint64]bool{},
 	}
-	c, err := New(cfg,
+	c, err := New(cfg, SchedFRFCFS,
 		func(tick uint64, e *mshr.Entry) IssueResult {
 			n := len(h.issues)
 			h.issues = append(h.issues, issueRecord{tick, e.BaseLine(), e.Lines(), e.Write()})

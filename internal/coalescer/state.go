@@ -6,21 +6,6 @@ import (
 	"hmccoal/internal/mshr"
 )
 
-// packetState is one captured CRQ or retry-queue packet. Targets are
-// deep-copied; the target-slice pool is working storage and not captured.
-type packetState struct {
-	baseLine uint64
-	lines    int
-	write    bool
-	targets  []mshr.Target
-	ready    uint64
-	blocked  bool
-	attempt  int
-	seq      uint64
-	cpu      uint8
-	critical bool
-}
-
 // completionState is one captured in-flight completion. The MSHR entry
 // pointer is stored as its stable index and re-pointed on restore.
 type completionState struct {
@@ -33,167 +18,134 @@ type completionState struct {
 	critical   bool
 }
 
-// State is an opaque deep copy of the coalescer's mutable state: the
-// pending input buffer, the CRQ (linearized to FIFO order), the in-flight
-// and retry heaps (verbatim array order, so tie-breaking after a restore
-// matches the uninterrupted run exactly), the MSHR file, the bypass and
-// degraded-mode machinery and every statistic.
-type State struct {
-	pending      []pendingReq
-	pendingSince uint64
-	sortFree     uint64
-	curTimeout   uint64
-
-	crq      []packetState // FIFO order, head first
+// StageState is an opaque deep copy of a Stage's mutable state: the CRQ
+// (linearized to FIFO order), the in-flight and retry heaps (verbatim
+// array order, so tie-breaking after a restore matches the uninterrupted
+// run exactly), the MSHR file, the scheduler accounts and every statistic.
+type StageState struct {
+	crq      []Packet // FIFO order, head first
 	inflight []completionState
-	retryQ   []packetState
+	retryQ   []Packet
 
 	freedAt     uint64
 	lastIssue   uint64
 	lastAdvance uint64
-	bypassOn    bool
-	idleSince   uint64
 	fillStart   uint64
 	fillCount   int
 	stats       Stats
-
-	retrySeq   uint64
-	faultWin   []bool
-	faultPos   int
-	faultCnt   int
-	degraded   bool
-	degradedAt uint64
+	retrySeq    uint64
 
 	laneBytes []uint64 // hetero scheduler accounts (nil under FR-FCFS)
 
 	file *mshr.FileState
 }
 
-func savePacket(p *packet) packetState {
-	return packetState{
-		baseLine: p.baseLine,
-		lines:    p.lines,
-		write:    p.write,
-		targets:  append([]mshr.Target(nil), p.targets...),
-		ready:    p.ready,
-		blocked:  p.blocked,
-		attempt:  p.attempt,
-		seq:      p.seq,
-		cpu:      p.cpu,
-		critical: p.critical,
-	}
+// State is an opaque deep copy of the coalescer's mutable state: its
+// stage, the pending input buffer, and the bypass and degraded-mode
+// machinery.
+type State struct {
+	stage *StageState
+
+	pending      []pendingReq
+	pendingSince uint64
+	sortFree     uint64
+	curTimeout   uint64
+	bypassOn     bool
+	idleSince    uint64
+
+	faultWin   []bool
+	faultPos   int
+	faultCnt   int
+	degraded   bool
+	degradedAt uint64
 }
 
-func restorePacket(st *packetState) packet {
-	return packet{
-		baseLine: st.baseLine,
-		lines:    st.lines,
-		write:    st.write,
-		targets:  append([]mshr.Target(nil), st.targets...),
-		ready:    st.ready,
-		blocked:  st.blocked,
-		attempt:  st.attempt,
-		seq:      st.seq,
-		cpu:      st.cpu,
-		critical: st.critical,
-	}
+// clonePacket copies a packet with its own target slice; the target-slice
+// pool is working storage and not captured.
+func clonePacket(p *Packet) Packet {
+	cp := *p
+	cp.Targets = append([]mshr.Target(nil), p.Targets...)
+	return cp
 }
 
-// SaveState deep-copies the coalescer's mutable state. It refuses to
-// snapshot a coalescer that has latched a conservation violation — the
-// state is untrustworthy by definition.
-func (c *Coalescer) SaveState() (*State, error) {
-	if c.viol != nil {
-		return nil, fmt.Errorf("coalescer: cannot snapshot after violation: %w", c.viol)
+// SaveState deep-copies the stage's mutable state. It refuses to snapshot
+// a stage that has latched a conservation violation — the state is
+// untrustworthy by definition.
+func (s *Stage) SaveState() (*StageState, error) {
+	if s.viol != nil {
+		return nil, fmt.Errorf("coalescer: cannot snapshot after violation: %w", s.viol)
 	}
-	st := &State{
-		pending:      append([]pendingReq(nil), c.pending...),
-		pendingSince: c.pendingSince,
-		sortFree:     c.sortFree,
-		curTimeout:   c.curTimeout,
-		freedAt:      c.freedAt,
-		lastIssue:    c.lastIssue,
-		lastAdvance:  c.lastAdvance,
-		bypassOn:     c.bypassOn,
-		idleSince:    c.idleSince,
-		fillStart:    c.fillStart,
-		fillCount:    c.fillCount,
-		stats:        c.stats,
-		retrySeq:     c.retrySeq,
-		faultPos:     c.faultPos,
-		faultCnt:     c.faultCnt,
-		degraded:     c.degraded,
-		degradedAt:   c.degradedAt,
-		file:         c.file.SaveState(),
+	st := &StageState{
+		freedAt:     s.freedAt,
+		lastIssue:   s.lastIssue,
+		lastAdvance: s.lastAdvance,
+		fillStart:   s.fillStart,
+		fillCount:   s.fillCount,
+		stats:       s.stats,
+		retrySeq:    s.retrySeq,
+		file:        s.file.SaveState(),
 	}
-	st.crq = make([]packetState, c.crqLen)
-	for i := 0; i < c.crqLen; i++ {
-		st.crq[i] = savePacket(&c.crqBuf[(c.crqHead+i)&(len(c.crqBuf)-1)])
+	st.crq = make([]Packet, s.crqLen)
+	for i := 0; i < s.crqLen; i++ {
+		st.crq[i] = clonePacket(&s.crqBuf[(s.crqHead+i)&(len(s.crqBuf)-1)])
 	}
-	st.inflight = make([]completionState, len(c.inflight))
-	for i := range c.inflight {
+	st.inflight = make([]completionState, len(s.inflight))
+	for i := range s.inflight {
 		st.inflight[i] = completionState{
-			tick:       c.inflight[i].tick,
-			entryIndex: c.inflight[i].entry.Index(),
-			issuedAt:   c.inflight[i].issuedAt,
-			fault:      c.inflight[i].fault,
-			attempt:    c.inflight[i].attempt,
-			cpu:        c.inflight[i].cpu,
-			critical:   c.inflight[i].critical,
+			tick:       s.inflight[i].tick,
+			entryIndex: s.inflight[i].entry.Index(),
+			issuedAt:   s.inflight[i].issuedAt,
+			fault:      s.inflight[i].fault,
+			attempt:    s.inflight[i].attempt,
+			cpu:        s.inflight[i].cpu,
+			critical:   s.inflight[i].critical,
 		}
 	}
-	st.retryQ = make([]packetState, len(c.retryQ))
-	for i := range c.retryQ {
-		st.retryQ[i] = savePacket(&c.retryQ[i])
+	st.retryQ = make([]Packet, len(s.retryQ))
+	for i := range s.retryQ {
+		st.retryQ[i] = clonePacket(&s.retryQ[i])
 	}
-	if c.faultWin != nil {
-		st.faultWin = append([]bool(nil), c.faultWin...)
-	}
-	if c.laneBytes != nil {
-		st.laneBytes = append([]uint64(nil), c.laneBytes...)
+	if s.laneBytes != nil {
+		st.laneBytes = append([]uint64(nil), s.laneBytes...)
 	}
 	return st, nil
 }
 
-// RestoreState replays a snapshot into the coalescer, which must have been
+// RestoreState replays a snapshot into the stage, which must have been
 // built from the same configuration (and callbacks bound to the restored
 // system). The CRQ is re-laid-out from index 0 — FIFO content, not ring
 // phase, is the state — while both heaps are restored in verbatim array
 // order so future pops break ties exactly as the snapshotted run would.
-func (c *Coalescer) RestoreState(st *State) error {
-	if c.viol != nil {
-		return fmt.Errorf("coalescer: cannot restore after violation: %w", c.viol)
+func (s *Stage) RestoreState(st *StageState) error {
+	if s.viol != nil {
+		return fmt.Errorf("coalescer: cannot restore after violation: %w", s.viol)
 	}
-	if err := c.file.RestoreState(st.file); err != nil {
+	if err := s.file.RestoreState(st.file); err != nil {
 		return err
 	}
-	c.pending = append(c.pending[:0], st.pending...)
-	c.pendingSince = st.pendingSince
-	c.sortFree = st.sortFree
-	c.curTimeout = st.curTimeout
-	need := len(c.crqBuf)
+	need := len(s.crqBuf)
 	if need == 0 && len(st.crq) > 0 {
 		need = 16 // matches crqPush's initial allocation
 	}
 	for need < len(st.crq) {
 		need *= 2
 	}
-	if need != len(c.crqBuf) {
-		c.crqBuf = make([]packet, need)
+	if need != len(s.crqBuf) {
+		s.crqBuf = make([]Packet, need)
 	}
-	for i := range c.crqBuf {
-		c.crqBuf[i] = packet{}
+	for i := range s.crqBuf {
+		s.crqBuf[i] = Packet{}
 	}
 	for i := range st.crq {
-		c.crqBuf[i] = restorePacket(&st.crq[i])
+		s.crqBuf[i] = clonePacket(&st.crq[i])
 	}
-	c.crqHead = 0
-	c.crqLen = len(st.crq)
-	c.inflight = c.inflight[:0]
+	s.crqHead = 0
+	s.crqLen = len(st.crq)
+	s.inflight = s.inflight[:0]
 	for i := range st.inflight {
-		c.inflight = append(c.inflight, completion{
+		s.inflight = append(s.inflight, completion{
 			tick:     st.inflight[i].tick,
-			entry:    c.file.EntryAt(st.inflight[i].entryIndex),
+			entry:    s.file.EntryAt(st.inflight[i].entryIndex),
 			issuedAt: st.inflight[i].issuedAt,
 			fault:    st.inflight[i].fault,
 			attempt:  st.inflight[i].attempt,
@@ -201,19 +153,65 @@ func (c *Coalescer) RestoreState(st *State) error {
 			critical: st.inflight[i].critical,
 		})
 	}
-	c.retryQ = c.retryQ[:0]
+	s.retryQ = s.retryQ[:0]
 	for i := range st.retryQ {
-		c.retryQ = append(c.retryQ, restorePacket(&st.retryQ[i]))
+		s.retryQ = append(s.retryQ, clonePacket(&st.retryQ[i]))
 	}
-	c.freedAt = st.freedAt
-	c.lastIssue = st.lastIssue
-	c.lastAdvance = st.lastAdvance
+	s.freedAt = st.freedAt
+	s.lastIssue = st.lastIssue
+	s.lastAdvance = st.lastAdvance
+	s.fillStart = st.fillStart
+	s.fillCount = st.fillCount
+	s.stats = st.stats
+	s.retrySeq = st.retrySeq
+	if st.laneBytes != nil {
+		s.laneBytes = append(s.laneBytes[:0], st.laneBytes...)
+	} else if s.laneBytes != nil {
+		for i := range s.laneBytes {
+			s.laneBytes[i] = 0
+		}
+	}
+	return nil
+}
+
+// SaveState deep-copies the coalescer's mutable state; like the stage's,
+// it refuses after a latched conservation violation.
+func (c *Coalescer) SaveState() (*State, error) {
+	stage, err := c.Stage.SaveState()
+	if err != nil {
+		return nil, err
+	}
+	st := &State{
+		stage:        stage,
+		pending:      append([]pendingReq(nil), c.pending...),
+		pendingSince: c.pendingSince,
+		sortFree:     c.sortFree,
+		curTimeout:   c.curTimeout,
+		bypassOn:     c.bypassOn,
+		idleSince:    c.idleSince,
+		faultPos:     c.faultPos,
+		faultCnt:     c.faultCnt,
+		degraded:     c.degraded,
+		degradedAt:   c.degradedAt,
+	}
+	if c.faultWin != nil {
+		st.faultWin = append([]bool(nil), c.faultWin...)
+	}
+	return st, nil
+}
+
+// RestoreState replays a snapshot into the coalescer, which must have been
+// built from the same configuration and issue policy.
+func (c *Coalescer) RestoreState(st *State) error {
+	if err := c.Stage.RestoreState(st.stage); err != nil {
+		return err
+	}
+	c.pending = append(c.pending[:0], st.pending...)
+	c.pendingSince = st.pendingSince
+	c.sortFree = st.sortFree
+	c.curTimeout = st.curTimeout
 	c.bypassOn = st.bypassOn
 	c.idleSince = st.idleSince
-	c.fillStart = st.fillStart
-	c.fillCount = st.fillCount
-	c.stats = st.stats
-	c.retrySeq = st.retrySeq
 	if st.faultWin != nil {
 		c.faultWin = append([]bool(nil), st.faultWin...)
 	} else {
@@ -223,12 +221,5 @@ func (c *Coalescer) RestoreState(st *State) error {
 	c.faultCnt = st.faultCnt
 	c.degraded = st.degraded
 	c.degradedAt = st.degradedAt
-	if st.laneBytes != nil {
-		c.laneBytes = append(c.laneBytes[:0], st.laneBytes...)
-	} else if c.laneBytes != nil {
-		for i := range c.laneBytes {
-			c.laneBytes[i] = 0
-		}
-	}
 	return nil
 }

@@ -78,9 +78,6 @@ type Stats struct {
 	DegradedSplits  uint64
 }
 
-// Stats returns a snapshot of the counters.
-func (c *Coalescer) Stats() Stats { return c.stats }
-
 // CoalescingEfficiency is the Figure 8 metric: the fraction of LLC
 // requests eliminated before reaching the HMC.
 func (s Stats) CoalescingEfficiency() float64 {

@@ -17,10 +17,13 @@
 // default) or a heterogeneity-aware scheduler that favors criticality-
 // hinted requests and starved lanes over bandwidth hogs.
 //
-// Both front-ends speak the coalescer's request/callback interface and
-// maintain the same statistics shape (coalescer.Stats, mshr.Stats), so
-// every metric and table in the evaluation renders identically whichever
-// front-end is plugged in.
+// The two differ only in their first phase. Both share the coalescer's
+// second phase, coalescer.Stage: the CRQ, the dynamic MSHRs, memory issue
+// under the chosen policy, span retry with backoff and the watchdog. So
+// they speak the same request/callback interface and keep the same
+// statistics shape (coalescer.Stats, mshr.Stats), and every metric and
+// table in the evaluation renders identically whichever front-end is
+// plugged in.
 package frontend
 
 import (
@@ -79,38 +82,19 @@ func ParseKind(s string) (Kind, error) {
 // Kinds lists the recognized front-end names for usage messages.
 func Kinds() []string { return []string{"two-phase", "warp"} }
 
-// SchedKind selects the issue policy inside a front-end. The zero value is
-// strict FR-FCFS, the policy every pre-scheduler configuration used.
-type SchedKind int
+// SchedKind selects the issue policy inside a front-end; it is the
+// coalescer stage's policy enum. The zero value is strict FR-FCFS, the
+// policy every pre-scheduler configuration used.
+type SchedKind = coalescer.Sched
 
 // Scheduler kinds.
 const (
 	// SchedFRFCFS issues queued packets strictly in arrival order.
-	SchedFRFCFS SchedKind = iota
+	SchedFRFCFS = coalescer.SchedFRFCFS
 	// SchedHetero is the heterogeneity-aware policy: criticality-hinted
 	// requests first, then the lane with the fewest issued bytes.
-	SchedHetero
+	SchedHetero = coalescer.SchedHetero
 )
-
-// String names the scheduler as the CLI -sched flag spells it.
-func (k SchedKind) String() string {
-	switch k {
-	case SchedFRFCFS:
-		return "frfcfs"
-	case SchedHetero:
-		return "hetero"
-	}
-	return fmt.Sprintf("SchedKind(%d)", int(k))
-}
-
-// Validate rejects scheduler values no issue path exists for.
-func (k SchedKind) Validate() error {
-	switch k {
-	case SchedFRFCFS, SchedHetero:
-		return nil
-	}
-	return fmt.Errorf("frontend: unknown scheduler kind %d", int(k))
-}
 
 // ParseSched maps a -sched flag value to a SchedKind. The empty string
 // means the default FR-FCFS policy.
@@ -196,14 +180,9 @@ func New(cfg Config, issue coalescer.IssueFunc, complete coalescer.CompleteFunc)
 	if err := cfg.Kind.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Sched.Validate(); err != nil {
-		return nil, err
-	}
 	switch cfg.Kind {
 	case KindTwoPhase:
-		ccfg := cfg.Coalescer
-		ccfg.Sched = coalescer.Sched(cfg.Sched)
-		c, err := coalescer.New(ccfg, issue, complete)
+		c, err := coalescer.New(cfg.Coalescer, cfg.Sched, issue, complete)
 		if err != nil {
 			return nil, err
 		}
@@ -272,17 +251,6 @@ func (t *twoPhase) RestoreState(s Snapshot) error {
 		return fmt.Errorf("frontend: %v snapshot restored into two-phase frontend", kindOf(s))
 	}
 	return t.c().RestoreState(ts.st)
-}
-
-// Coalescer unwraps a Frontend to its *coalescer.Coalescer when the
-// front-end is the two-phase unit, for callers needing coalescer-only
-// surface (the adaptive timeout, degraded-mode inspection).
-func Coalescer(f Frontend) (*coalescer.Coalescer, bool) {
-	t, ok := f.(*twoPhase)
-	if !ok {
-		return nil, false
-	}
-	return t.c(), true
 }
 
 // kindOf names a snapshot's origin kind for mismatch diagnostics.

@@ -1,7 +1,9 @@
 package frontend
 
 import (
+	"errors"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -91,29 +93,73 @@ func testConfig(kind Kind, sched SchedKind) Config {
 
 // fakeMem is a deterministic memory model: every packet completes after a
 // latency proportional to its line span, and the completion callback
-// records every waiter token with its arrival tick.
+// records every waiter token with its arrival tick and fault bit. The
+// fault schedule poisons every poisonEvery-th issue and drops the
+// dropAt-th one (both 1-based; zero disables).
 type fakeMem struct {
-	issued int
-	tokens []uint64
-	ticks  []uint64
+	poisonEvery int
+	dropAt      int
+
+	issued  int
+	dropped *mshr.Entry
+	tokens  []uint64
+	ticks   []uint64
+	faults  []bool
 }
 
 func (m *fakeMem) issue(tick uint64, e *mshr.Entry) coalescer.IssueResult {
 	m.issued++
-	return coalescer.IssueResult{Done: tick + 40 + 4*uint64(e.Lines())}
+	if m.issued == m.dropAt {
+		m.dropped = e
+		return coalescer.IssueResult{Done: coalescer.NeverTick, Dropped: true}
+	}
+	poisoned := m.poisonEvery > 0 && m.issued%m.poisonEvery == 0
+	return coalescer.IssueResult{Done: tick + 40 + 4*uint64(e.Lines()), Fault: poisoned}
 }
 
 func (m *fakeMem) complete(tick uint64, subs []mshr.Sub, fault bool) {
 	for _, s := range subs {
 		m.tokens = append(m.tokens, s.Token)
 		m.ticks = append(m.ticks, tick)
+		m.faults = append(m.faults, fault)
 	}
 }
 
-// drive pushes a deterministic mixed stream — runs of adjacent lines,
-// strided singles, a write burst — through a front-end and drains it.
-func drive(t *testing.T, f Frontend, mem *fakeMem, n int) {
+// input is one stimulus variant every front-end runs: the link's poison
+// schedule, a span retry cap, and an optional fence every fenceEvery
+// pushes.
+type input struct {
+	name        string
+	poisonEvery int
+	maxRetries  int
+	fenceEvery  int
+}
+
+func inputs() []input {
+	return []input{
+		{name: "clean"},
+		{name: "fence", fenceEvery: 50},
+		{name: "poison", poisonEvery: 3, maxRetries: 1},
+		{name: "poison+fence", poisonEvery: 3, maxRetries: 1, fenceEvery: 50},
+	}
+}
+
+// build makes a front-end for cfg under in, wired to mem.
+func (in input) build(t *testing.T, cfg Config, mem *fakeMem) Frontend {
 	t.Helper()
+	cfg.Coalescer.MaxPacketRetries = in.maxRetries
+	mem.poisonEvery = in.poisonEvery
+	f, err := New(cfg, mem.issue, mem.complete)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// pushStream pushes a deterministic mixed stream — runs of adjacent lines,
+// strided singles, a write burst — through a front-end, fencing after
+// every fenceEvery-th push, and returns the tick it stopped at.
+func pushStream(f Frontend, n, fenceEvery int) uint64 {
 	now := uint64(0)
 	for i := 0; i < n; i++ {
 		line := uint64(i/8)*32 + uint64(i%8) // runs of 8 adjacent lines
@@ -129,8 +175,18 @@ func drive(t *testing.T, f Frontend, mem *fakeMem, n int) {
 			Critical: i%3 == 0,
 		})
 		now += 2
+		if fenceEvery > 0 && (i+1)%fenceEvery == 0 {
+			f.Fence(now)
+		}
 		f.Advance(now)
 	}
+	return now
+}
+
+// drive pushes the mixed stream and drains the front-end.
+func drive(t *testing.T, f Frontend, n, fenceEvery int) {
+	t.Helper()
+	now := pushStream(f, n, fenceEvery)
 	if _, err := f.Drain(now); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -172,101 +228,179 @@ func TestFactoryKinds(t *testing.T) {
 
 // TestDeterministicAndConserving pins the front-end contract: identical
 // push sequences yield identical completions and statistics, every token
-// pushed comes back exactly once, and the request count is conserved.
+// pushed comes back exactly once, and the request count is conserved. On
+// a poisoning link, spans past the retry cap complete with the fault bit
+// set and are counted as failed targets.
 func TestDeterministicAndConserving(t *testing.T) {
 	const n = 400
 	for _, cfg := range allCombos() {
 		cfg := cfg
 		t.Run(cfg.Kind.String()+"/"+cfg.Sched.String(), func(t *testing.T) {
-			runOne := func() *fakeMem {
-				mem := &fakeMem{}
-				f, err := New(cfg, mem.issue, mem.complete)
-				if err != nil {
-					t.Fatal(err)
-				}
-				drive(t, f, mem, n)
-				if got := f.Stats().Requests; got != n {
-					t.Fatalf("Stats().Requests = %d, want %d", got, n)
-				}
-				return mem
-			}
-			a, b := runOne(), runOne()
-			if !reflect.DeepEqual(a.tokens, b.tokens) || !reflect.DeepEqual(a.ticks, b.ticks) {
-				t.Fatalf("identical runs produced different completions")
-			}
-			seen := make(map[uint64]int, n)
-			for _, tok := range a.tokens {
-				seen[tok]++
-			}
-			if len(seen) != n {
-				t.Fatalf("completed %d distinct tokens, want %d", len(seen), n)
-			}
-			for tok, c := range seen {
-				if c != 1 {
-					t.Fatalf("token %d completed %d times", tok, c)
-				}
+			for _, in := range inputs() {
+				in := in
+				t.Run(in.name, func(t *testing.T) {
+					runOne := func() (*fakeMem, coalescer.Stats) {
+						mem := &fakeMem{}
+						f := in.build(t, cfg, mem)
+						drive(t, f, n, in.fenceEvery)
+						if got := f.Stats().Requests; got != n {
+							t.Fatalf("Stats().Requests = %d, want %d", got, n)
+						}
+						return mem, f.Stats()
+					}
+					a, as := runOne()
+					b, bs := runOne()
+					if !reflect.DeepEqual(a.tokens, b.tokens) || !reflect.DeepEqual(a.ticks, b.ticks) ||
+						!reflect.DeepEqual(a.faults, b.faults) || as != bs {
+						t.Fatalf("identical runs produced different completions")
+					}
+					seen := make(map[uint64]int, n)
+					failed := uint64(0)
+					for i, tok := range a.tokens {
+						seen[tok]++
+						if a.faults[i] {
+							failed++
+						}
+					}
+					if len(seen) != n {
+						t.Fatalf("completed %d distinct tokens, want %d", len(seen), n)
+					}
+					for tok, c := range seen {
+						if c != 1 {
+							t.Fatalf("token %d completed %d times", tok, c)
+						}
+					}
+					if failed != as.FailedTargets {
+						t.Fatalf("%d tokens completed with fault=true, Stats().FailedTargets = %d", failed, as.FailedTargets)
+					}
+					if in.poisonEvery > 0 && (as.PoisonedPackets == 0 || as.RetriedPackets == 0 || failed == 0) {
+						t.Fatalf("poisoning link exercised no retry path: %+v", as)
+					}
+					if in.fenceEvery > 0 && as.Fences != n/uint64(in.fenceEvery) {
+						t.Fatalf("Stats().Fences = %d, want %d", as.Fences, n/in.fenceEvery)
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestSnapshotRoundTrip pins SaveState/RestoreState: a restored front-end
-// replays the suffix of the run byte-identically to the original.
+// replays the suffix of the run byte-identically to the original, retry
+// queue and fault schedule included.
 func TestSnapshotRoundTrip(t *testing.T) {
 	const half = 150
 	for _, cfg := range allCombos() {
 		cfg := cfg
 		t.Run(cfg.Kind.String()+"/"+cfg.Sched.String(), func(t *testing.T) {
-			suffix := func(f Frontend, mem *fakeMem, from uint64) *fakeMem {
-				now := from
-				for i := 0; i < half; i++ {
-					f.Push(now, coalescer.Request{
-						Line: uint64(i), Payload: 8, Token: uint64(1000 + i), CPU: uint8(i % 4),
-					})
-					now += 2
-					f.Advance(now)
-				}
-				if _, err := f.Drain(now); err != nil {
-					t.Fatalf("Drain: %v", err)
-				}
-				return mem
-			}
+			for _, in := range inputs() {
+				in := in
+				t.Run(in.name, func(t *testing.T) {
+					suffix := func(f Frontend, from uint64) {
+						now := from
+						for i := 0; i < half; i++ {
+							f.Push(now, coalescer.Request{
+								Line: uint64(i), Payload: 8, Token: uint64(1000 + i), CPU: uint8(i % 4),
+							})
+							now += 2
+							if in.fenceEvery > 0 && (i+1)%in.fenceEvery == 0 {
+								f.Fence(now)
+							}
+							f.Advance(now)
+						}
+						if _, err := f.Drain(now); err != nil {
+							t.Fatalf("Drain: %v", err)
+						}
+					}
 
-			memA := &fakeMem{}
-			a, err := New(cfg, memA.issue, memA.complete)
+					memA := &fakeMem{}
+					a := in.build(t, cfg, memA)
+					now := uint64(0)
+					for i := 0; i < half; i++ {
+						a.Push(now, coalescer.Request{Line: uint64(i) * 3, Payload: 8, Token: uint64(i), CPU: uint8(i % 4)})
+						now += 2
+						if in.fenceEvery > 0 && (i+1)%in.fenceEvery == 0 {
+							a.Fence(now)
+						}
+						a.Advance(now)
+					}
+					snap, err := a.SaveState()
+					if err != nil {
+						t.Fatalf("SaveState: %v", err)
+					}
+
+					memB := &fakeMem{issued: memA.issued}
+					b := in.build(t, cfg, memB)
+					if err := b.RestoreState(snap); err != nil {
+						t.Fatalf("RestoreState: %v", err)
+					}
+
+					// The prefix's completions only reached memA, so compare
+					// what each memory saw after the snapshot.
+					mark := len(memA.tokens)
+					suffix(a, now)
+					suffix(b, now)
+					if !reflect.DeepEqual(memA.tokens[mark:], memB.tokens) ||
+						!reflect.DeepEqual(memA.ticks[mark:], memB.ticks) ||
+						!reflect.DeepEqual(memA.faults[mark:], memB.faults) {
+						t.Fatalf("restored front-end diverged on the suffix")
+					}
+					if asr, bsr := a.Stats(), b.Stats(); asr != bsr {
+						t.Fatalf("post-restore stats diverge:\n%+v\n%+v", asr, bsr)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestDroppedResponseWatchdog drops one response: Drain must give up with
+// a watchdog error instead of hanging, and DoomedTokens must name exactly
+// the waiters that never completed — the dropped packet's.
+func TestDroppedResponseWatchdog(t *testing.T) {
+	const n = 200
+	for _, cfg := range allCombos() {
+		cfg := cfg
+		t.Run(cfg.Kind.String()+"/"+cfg.Sched.String(), func(t *testing.T) {
+			mem := &fakeMem{dropAt: 5}
+			f, err := New(cfg, mem.issue, mem.complete)
 			if err != nil {
 				t.Fatal(err)
 			}
-			now := uint64(0)
-			for i := 0; i < half; i++ {
-				a.Push(now, coalescer.Request{Line: uint64(i) * 3, Payload: 8, Token: uint64(i), CPU: uint8(i % 4)})
-				now += 2
-				a.Advance(now)
+			now := pushStream(f, n, 0)
+			_, err = f.Drain(now)
+			if !errors.Is(err, coalescer.ErrWatchdog) {
+				t.Fatalf("Drain = %v, want a watchdog error", err)
 			}
-			snap, err := a.SaveState()
-			if err != nil {
-				t.Fatalf("SaveState: %v", err)
+			if !errors.Is(f.WatchdogError(), coalescer.ErrWatchdog) {
+				t.Fatalf("WatchdogError = %v after a dropped response", f.WatchdogError())
 			}
-
-			memB := &fakeMem{}
-			b, err := New(cfg, memB.issue, memB.complete)
-			if err != nil {
-				t.Fatal(err)
+			if mem.dropped == nil {
+				t.Fatal("the fault schedule dropped nothing")
 			}
-			if err := b.RestoreState(snap); err != nil {
-				t.Fatalf("RestoreState: %v", err)
+			done := make(map[uint64]bool, n)
+			for _, tok := range mem.tokens {
+				done[tok] = true
 			}
-
-			sa := suffix(a, memA, now)
-			sb := suffix(b, memB, now)
-			// The prefix's completions only reached memA, so compare suffixes.
-			ta := sa.tokens[len(sa.tokens)-half:]
-			tb := sb.tokens[len(sb.tokens)-half:]
-			if !reflect.DeepEqual(ta, tb) {
-				t.Fatalf("restored front-end diverged on the suffix")
+			var want []uint64
+			for tok := uint64(0); tok < n; tok++ {
+				if !done[tok] {
+					want = append(want, tok)
+				}
 			}
-			if asr, bsr := a.Stats(), b.Stats(); asr != bsr {
-				t.Fatalf("post-restore stats diverge:\n%+v\n%+v", asr, bsr)
+			var got []uint64
+			f.DoomedTokens(func(tok uint64) { got = append(got, tok) })
+			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("DoomedTokens = %v, want the never-completed tokens %v", got, want)
+			}
+			var waiters []uint64
+			for _, s := range mem.dropped.Subs() {
+				waiters = append(waiters, s.Token)
+			}
+			sort.Slice(waiters, func(i, j int) bool { return waiters[i] < waiters[j] })
+			if !reflect.DeepEqual(got, waiters) {
+				t.Fatalf("DoomedTokens = %v, dropped packet's waiters = %v", got, waiters)
 			}
 		})
 	}
@@ -303,24 +437,6 @@ func TestRestoreKindMismatch(t *testing.T) {
 	}
 }
 
-func TestCoalescerUnwrap(t *testing.T) {
-	mem := &fakeMem{}
-	tp, err := New(testConfig(KindTwoPhase, SchedFRFCFS), mem.issue, mem.complete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := Coalescer(tp); !ok || c == nil {
-		t.Errorf("Coalescer failed to unwrap the two-phase front-end")
-	}
-	w, err := New(testConfig(KindWarp, SchedFRFCFS), mem.issue, mem.complete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := Coalescer(w); ok {
-		t.Errorf("Coalescer unwrapped a warp front-end")
-	}
-}
-
 // TestTwoPhaseWrapperAddsNoAllocs pins the zero-cost adaptation: building
 // and driving the default front-end through the interface allocates
 // exactly as much as driving the bare coalescer, so the pre-frontend alloc
@@ -330,7 +446,7 @@ func TestTwoPhaseWrapperAddsNoAllocs(t *testing.T) {
 	mem := &fakeMem{}
 
 	bare := testing.AllocsPerRun(10, func() {
-		c, err := coalescer.New(cfg.Coalescer, mem.issue, mem.complete)
+		c, err := coalescer.New(cfg.Coalescer, cfg.Sched, mem.issue, mem.complete)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,46 +19,19 @@ import (
 // distinct (block, type) group and MergeCycles per absorbed request, and
 // the whole warp becomes ready when its grouping cost has elapsed.
 //
-// Downstream of the warp buffers the unit mirrors the two-phase
-// coalescer's contract exactly: a FIFO packet queue in front of the same
-// dynamic MSHR file, the same issue-tick rules, the same span-level retry
-// backoff, watchdog and conservation violations — so every figure renders
-// from the same statistics shape and the fault-injection machinery works
-// unchanged.
+// Downstream of the warp buffers the unit shares the two-phase
+// coalescer's second phase, coalescer.Stage: the same CRQ in front of the
+// same dynamic MSHR file, issue-tick rules, span-level retry backoff,
+// watchdog and conservation violations — so every figure renders from the
+// same statistics shape and the fault-injection machinery works
+// unchanged. It installs no admission policy: degraded mode is two-phase
+// only.
 type warp struct {
-	cfg      coalescer.Config
-	sched    SchedKind
-	file     *mshr.File
-	issue    coalescer.IssueFunc
-	complete coalescer.CompleteFunc
+	coalescer.Stage
 
+	cfg        coalescer.Config
 	lanes      []warpLane
 	linesBlock uint64
-
-	// The packet queue is a head-indexed slice: popping bumps qHead and
-	// the backing array is recycled whenever the queue empties.
-	queue []wpacket
-	qHead int
-
-	inflight []wcompletion // min-heap by completion tick
-	retryQ   []wpacket     // min-heap by (ready, seq)
-	retrySeq uint64
-
-	// laneBytes is the heterogeneity-aware scheduler's per-lane
-	// issued-byte account; nil under FR-FCFS.
-	laneBytes []uint64
-
-	freedAt     uint64
-	lastIssue   uint64
-	lastAdvance uint64
-	fillStart   uint64
-	fillCount   int
-	stats       coalescer.Stats
-
-	targetPool [][]mshr.Target
-
-	check *invariant.Checker
-	viol  error
 }
 
 // warpLane is one lane's open warp buffer.
@@ -74,32 +47,6 @@ type wreq struct {
 	pushTick uint64
 }
 
-// wpacket is one queued memory packet; it carries the same issue state as
-// the two-phase coalescer's CRQ packets so the dispatch rules match.
-type wpacket struct {
-	baseLine uint64
-	lines    int
-	write    bool
-	targets  []mshr.Target
-	ready    uint64
-	blocked  bool
-	attempt  int
-	seq      uint64
-	cpu      uint8
-	critical bool
-}
-
-// wcompletion pairs an outstanding MSHR entry with its response tick.
-type wcompletion struct {
-	tick     uint64
-	entry    *mshr.Entry
-	issuedAt uint64
-	fault    bool
-	attempt  int
-	cpu      uint8
-	critical bool
-}
-
 // closeCause records what closed a warp, partitioning the flush counters
 // the same way the two-phase coalescer's flushCause does.
 type closeCause int
@@ -113,72 +60,23 @@ const (
 
 // newWarp builds the warp coalescing unit.
 func newWarp(cfg Config, issue coalescer.IssueFunc, complete coalescer.CompleteFunc) (*warp, error) {
-	if issue == nil || complete == nil {
-		return nil, fmt.Errorf("frontend: nil callback")
-	}
-	ccfg := cfg.Coalescer
-	ccfg.Sched = coalescer.Sched(cfg.Sched)
-	if err := ccfg.Validate(); err != nil {
+	stage, err := coalescer.NewStage(cfg.Coalescer, cfg.Sched, issue, complete)
+	if err != nil {
 		return nil, err
 	}
 	lanes := cfg.Lanes
 	if lanes < 1 {
 		lanes = 1
 	}
-	mcfg := ccfg.MSHR
-	mcfg.LineBytes = ccfg.LineBytes
-	mcfg.BlockBytes = ccfg.BlockBytes
-	mcfg.DisableMerge = !ccfg.SecondPhase
-	file, err := mshr.NewFile(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	w := &warp{
-		cfg:        ccfg,
-		sched:      cfg.Sched,
-		file:       file,
-		issue:      issue,
-		complete:   complete,
+	return &warp{
+		Stage:      stage,
+		cfg:        cfg.Coalescer,
 		lanes:      make([]warpLane, lanes),
-		linesBlock: uint64(ccfg.BlockBytes / ccfg.LineBytes),
-	}
-	if cfg.Sched == SchedHetero {
-		w.laneBytes = make([]uint64, 256) // full uint8 lane space
-	}
-	return w, nil
+		linesBlock: uint64(cfg.Coalescer.BlockBytes / cfg.Coalescer.LineBytes),
+	}, nil
 }
 
 func (w *warp) Kind() Kind { return KindWarp }
-
-func (w *warp) getTargets() []mshr.Target {
-	if n := len(w.targetPool); n > 0 {
-		t := w.targetPool[n-1]
-		w.targetPool = w.targetPool[:n-1]
-		return t[:0]
-	}
-	return make([]mshr.Target, 0, w.cfg.Width)
-}
-
-func (w *warp) putTargets(t []mshr.Target) {
-	if cap(t) > 0 {
-		w.targetPool = append(w.targetPool, t)
-	}
-}
-
-func (w *warp) qLen() int { return len(w.queue) - w.qHead }
-
-func (w *warp) qFront() *wpacket { return &w.queue[w.qHead] }
-
-func (w *warp) qPop() {
-	p := &w.queue[w.qHead]
-	w.putTargets(p.targets)
-	p.targets = nil
-	w.qHead++
-	if w.qHead == len(w.queue) {
-		w.queue = w.queue[:0]
-		w.qHead = 0
-	}
-}
 
 // timeout is the warp-close timeout; the warp unit uses the configured
 // value directly (there is no sorter latency to adapt to).
@@ -188,17 +86,18 @@ func (w *warp) timeout() uint64 { return w.cfg.TimeoutCycles }
 // closes when it reaches the coalescing width.
 func (w *warp) Push(now uint64, r coalescer.Request) {
 	w.Advance(now)
-	w.stats.Requests++
-	w.stats.PayloadBytes += uint64(r.Payload)
+	st := w.Counters()
+	st.Requests++
+	st.PayloadBytes += uint64(r.Payload)
 
 	if !w.cfg.FirstPhase {
 		// Conventional MHA: the miss goes straight at the MSHRs.
-		w.enqueue(now, wpacket{
-			baseLine: r.Line, lines: 1, write: r.Write,
-			targets: append(w.getTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
-			ready:   now, cpu: r.CPU, critical: r.Critical,
+		w.Enqueue(now, coalescer.Packet{
+			BaseLine: r.Line, Lines: 1, Write: r.Write,
+			Targets: append(w.GetTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
+			Ready:   now, CPU: r.CPU, Critical: r.Critical,
 		})
-		w.drainQueue(now)
+		w.Dispatch(now)
 		return
 	}
 
@@ -209,37 +108,29 @@ func (w *warp) Push(now uint64, r coalescer.Request) {
 	l.reqs = append(l.reqs, wreq{Request: r, pushTick: now})
 	if len(l.reqs) >= w.cfg.Width {
 		w.closeWarp(now, int(r.CPU)%len(w.lanes), closeFull)
-		w.drainQueue(now)
+		w.Dispatch(now)
 	}
 }
 
 // Fence closes every open warp immediately, in ascending lane order.
 func (w *warp) Fence(now uint64) {
 	w.Advance(now)
-	w.stats.Fences++
+	w.Counters().Fences++
 	for i := range w.lanes {
 		if len(w.lanes[i].reqs) > 0 {
 			w.closeWarp(now, i, closeFence)
 		}
 	}
-	w.drainQueue(now)
+	w.Dispatch(now)
 }
 
 // Advance processes time up to now: releases due retries, delivers due
 // responses and closes warps whose timeout expired.
 func (w *warp) Advance(now uint64) {
-	if now > w.lastAdvance {
-		w.lastAdvance = now
-	}
-	w.releaseRetries(now)
-	for len(w.inflight) > 0 && w.inflight[0].tick <= now {
-		w.completeOne()
-	}
+	w.Settle(now)
 	w.expireWarps(now)
-	for len(w.inflight) > 0 && w.inflight[0].tick <= now {
-		w.completeOne()
-	}
-	w.drainQueue(now)
+	w.Deliver(now)
+	w.Dispatch(now)
 }
 
 // expireWarps closes every warp whose timeout fell due, in (expiry tick,
@@ -274,17 +165,18 @@ func (w *warp) closeWarp(closeTick uint64, lane int, cause closeCause) {
 	if m == 0 {
 		return
 	}
-	w.stats.Batches++
-	w.stats.BatchRequests += uint64(m)
+	st := w.Counters()
+	st.Batches++
+	st.BatchRequests += uint64(m)
 	switch cause {
 	case closeFull:
-		w.stats.FullFlushes++
+		st.FullFlushes++
 	case closeTimeout:
-		w.stats.TimeoutFlushes++
+		st.TimeoutFlushes++
 	case closeFence:
-		w.stats.FenceFlushes++
+		st.FenceFlushes++
 	case closeDrain:
-		w.stats.DrainFlushes++
+		st.DrainFlushes++
 	}
 
 	// Burst counting: one group per distinct (block, type) pair, built in
@@ -318,13 +210,13 @@ func (w *warp) closeWarp(closeTick uint64, lane int, cause closeCause) {
 				block: block, write: r.Write,
 				minLine: r.Line, maxLine: r.Line,
 				cpu: r.CPU, critical: r.Critical,
-				targets: append(w.getTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
+				targets: append(w.GetTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
 			})
 			continue
 		}
 		g := &groups[gi]
 		cost += w.cfg.MergeCycles
-		w.stats.FirstPhaseMerges++
+		st.FirstPhaseMerges++
 		if r.Line < g.minLine {
 			g.minLine = r.Line
 		}
@@ -334,15 +226,15 @@ func (w *warp) closeWarp(closeTick uint64, lane int, cause closeCause) {
 		g.critical = g.critical || r.Critical
 		g.targets = append(g.targets, mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload})
 	}
-	w.stats.DMCCycles += cost
+	st.DMCCycles += cost
 	done := closeTick + cost
 
 	// Per-request latency: buffer wait + grouping, ending when the warp's
 	// packets reach the queue.
 	for i := range batch {
-		w.stats.RequestLatency += done - batch[i].pushTick
+		st.RequestLatency += done - batch[i].pushTick
 	}
-	w.stats.LatencySamples += uint64(m)
+	st.LatencySamples += uint64(m)
 
 	// Each group's span stays inside one block; split it into legal HMC
 	// packet sizes (largest-first, capped by the MSHR span limit). A chunk
@@ -367,9 +259,9 @@ func (w *warp) closeWarp(closeTick uint64, lane int, cause closeCause) {
 			if single && size == length {
 				// Common case: the whole group is one legal packet — hand
 				// the target slice over without copying.
-				w.enqueue(done, wpacket{
-					baseLine: base, lines: size, write: g.write,
-					targets: g.targets, ready: done, cpu: g.cpu, critical: g.critical,
+				w.Enqueue(done, coalescer.Packet{
+					BaseLine: base, Lines: size, Write: g.write,
+					Targets: g.targets, Ready: done, CPU: g.cpu, Critical: g.critical,
 				})
 				g.targets = nil
 				break
@@ -379,273 +271,39 @@ func (w *warp) closeWarp(closeTick uint64, lane int, cause closeCause) {
 			for _, t := range g.targets {
 				if t.Line >= base && t.Line < base+uint64(size) {
 					if targets == nil {
-						targets = w.getTargets()
+						targets = w.GetTargets()
 					}
 					targets = append(targets, t)
 				}
 			}
 			if targets != nil {
-				w.enqueue(done, wpacket{
-					baseLine: base, lines: size, write: g.write,
-					targets: targets, ready: done, cpu: g.cpu, critical: g.critical,
+				w.Enqueue(done, coalescer.Packet{
+					BaseLine: base, Lines: size, Write: g.write,
+					Targets: targets, Ready: done, CPU: g.cpu, Critical: g.critical,
 				})
 			}
 			base += uint64(size)
 			length -= size
 		}
 		if g.targets != nil {
-			w.putTargets(g.targets)
+			w.PutTargets(g.targets)
 		}
 	}
-}
-
-// enqueue appends a packet to the queue, maintaining the same peak and
-// fill-episode accounting as the two-phase CRQ.
-func (w *warp) enqueue(now uint64, p wpacket) {
-	if w.fillCount == 0 {
-		w.fillStart = now
-	}
-	w.queue = append(w.queue, p)
-	w.stats.Packets++
-	if n := w.qLen(); n > w.stats.CRQPeak {
-		w.stats.CRQPeak = n
-	}
-	w.fillCount++
-	if w.fillCount >= w.cfg.MSHR.Entries {
-		w.stats.CRQFillCycles += now - w.fillStart
-		w.stats.CRQFills++
-		w.fillCount = 0
-	}
-}
-
-// selectReady rotates the scheduler-preferred ready packet to the queue
-// head, keeping every other packet in FIFO order; see the two-phase
-// coalescer's selectReady for the policy contract.
-func (w *warp) selectReady(now uint64) {
-	best := -1
-	for i := w.qHead; i < len(w.queue); i++ {
-		p := &w.queue[i]
-		if p.ready > now {
-			continue
-		}
-		if best < 0 || w.schedBetter(p, &w.queue[best]) {
-			best = i
-		}
-	}
-	if best <= w.qHead {
-		return
-	}
-	sel := w.queue[best]
-	copy(w.queue[w.qHead+1:best+1], w.queue[w.qHead:best])
-	w.queue[w.qHead] = sel
-}
-
-// schedBetter ranks two ready packets under SchedHetero: criticality
-// first, then fewest issued bytes per lane, FIFO order on ties.
-func (w *warp) schedBetter(a, b *wpacket) bool {
-	if a.critical != b.critical {
-		return a.critical
-	}
-	if ab, bb := w.laneBytes[a.cpu], w.laneBytes[b.cpu]; ab != bb {
-		return ab < bb
-	}
-	return false
-}
-
-// drainQueue advances the queue head into the MSHRs: second-phase
-// coalescing, entry allocation and memory dispatch — the same rules as
-// the two-phase coalescer's drainCRQ.
-func (w *warp) drainQueue(now uint64) {
-	for w.qLen() > 0 {
-		if w.laneBytes != nil && w.qLen() > 1 && !w.qFront().blocked {
-			w.selectReady(now)
-		}
-		p := w.qFront()
-		if p.ready > now {
-			return
-		}
-		t := p.ready
-		if p.blocked && w.freedAt > t {
-			t = w.freedAt
-		}
-		if w.lastIssue > t {
-			t = w.lastIssue
-		}
-		minLine, maxLine := p.targets[0].Line, p.targets[0].Line
-		for _, tg := range p.targets[1:] {
-			if tg.Line < minLine {
-				minLine = tg.Line
-			}
-			if tg.Line > maxLine {
-				maxLine = tg.Line
-			}
-		}
-		out, err := w.file.Insert(minLine, int(maxLine-minLine)+1, p.write, p.targets)
-		if err != nil {
-			if v, ok := invariant.As(err); ok {
-				w.setViol(v)
-			} else {
-				w.setViol(invariant.Violatef(invariant.RuleCRQInsert, now, w.DebugState(),
-					"warp packet [line %d, %d lines, write=%v, %d targets] rejected by MSHR file: %v",
-					p.baseLine, p.lines, p.write, len(p.targets), err))
-			}
-			w.qPop()
-			return
-		}
-		issuedSubs := 0
-		for _, e := range out.Issued {
-			issuedSubs += len(e.Subs())
-		}
-		if out.MergedTargets+issuedSubs+len(out.Unplaced) != len(p.targets) {
-			w.setViol(invariant.Violatef(invariant.RuleTargetConservation, now, w.DebugState(),
-				"%d targets -> %d merged + %d issued + %d unplaced",
-				len(p.targets), out.MergedTargets, issuedSubs, len(out.Unplaced)))
-			w.qPop()
-			return
-		}
-		for _, e := range out.Issued {
-			w.stats.HMCRequests++
-			res := w.issue(t, e)
-			w.stats.LinkRetryRounds += uint64(res.Retries)
-			if res.Dropped {
-				w.stats.DroppedPackets++
-				res.Done = coalescer.NeverTick
-			} else if res.Fault {
-				w.stats.PoisonedPackets++
-			}
-			if w.laneBytes != nil {
-				w.laneBytes[p.cpu] += uint64(e.Lines()) * uint64(w.cfg.LineBytes)
-			}
-			w.inflight = wcompletionPush(w.inflight, wcompletion{
-				tick: res.Done, entry: e, issuedAt: t, fault: res.Fault, attempt: p.attempt,
-				cpu: p.cpu, critical: p.critical,
-			})
-		}
-		w.lastIssue = t
-		if len(out.Unplaced) > 0 {
-			p.targets = append(p.targets[:0], out.Unplaced...)
-			p.blocked = true
-			return
-		}
-		w.qPop()
-	}
-}
-
-func (w *warp) completeOne() {
-	var item wcompletion
-	w.inflight, item = wcompletionPop(w.inflight)
-	e := item.entry
-	baseLine, lines, write := e.BaseLine(), e.Lines(), e.Write()
-	subs, err := w.file.Complete(e)
-	if err != nil {
-		if v, ok := invariant.As(err); ok {
-			w.setViol(v)
-		} else if w.viol == nil {
-			w.viol = err
-		}
-		return
-	}
-	w.freedAt = item.tick
-	if item.fault && item.attempt < w.maxPacketRetries() {
-		w.requeueFailed(item.tick, item.attempt, baseLine, lines, write, subs, item.cpu, item.critical)
-	} else {
-		if item.fault {
-			w.stats.FailedTargets += uint64(len(subs))
-		}
-		w.complete(item.tick, subs, item.fault)
-	}
-	w.drainQueue(item.tick)
-}
-
-func (w *warp) maxPacketRetries() int {
-	if w.cfg.MaxPacketRetries == 0 {
-		return 8
-	}
-	return w.cfg.MaxPacketRetries
-}
-
-// requeueFailed schedules a failed span for re-issue after a capped
-// exponential backoff, exactly as the two-phase coalescer does.
-func (w *warp) requeueFailed(now uint64, attempt int, baseLine uint64, lines int, write bool, subs []mshr.Sub, cpu uint8, critical bool) {
-	base := w.cfg.RetryBackoffCycles
-	if base == 0 {
-		base = 64
-	}
-	cap := w.cfg.RetryBackoffCap
-	if cap == 0 {
-		cap = 4096
-	}
-	backoff := base << uint(attempt)
-	if backoff > cap || backoff < base {
-		backoff = cap
-	}
-	w.stats.RetriedPackets++
-	w.stats.RetryBackoffCycles += backoff
-	targets := w.getTargets()
-	for _, s := range subs {
-		targets = append(targets, mshr.Target{Line: baseLine + uint64(s.LineID), Token: s.Token, Payload: s.Payload})
-	}
-	p := wpacket{
-		baseLine: baseLine, lines: lines, write: write, targets: targets,
-		ready: now + backoff, attempt: attempt + 1, seq: w.retrySeq,
-		cpu: cpu, critical: critical,
-	}
-	w.retrySeq++
-	w.retryQ = wretryPush(w.retryQ, p)
-}
-
-// releaseRetries moves failed spans whose backoff expired back into the
-// queue.
-func (w *warp) releaseRetries(now uint64) {
-	for len(w.retryQ) > 0 && w.retryQ[0].ready <= now {
-		var p wpacket
-		w.retryQ, p = wretryPop(w.retryQ)
-		w.enqueue(p.ready, p)
-	}
-}
-
-// queueNextReady returns the earliest ready tick among queued packets:
-// the head's under FIFO (strict order), the minimum over the queue under
-// the heterogeneity-aware scheduler, which may issue out of FIFO order.
-func (w *warp) queueNextReady() uint64 {
-	if w.laneBytes == nil || w.qFront().blocked {
-		return w.qFront().ready
-	}
-	next := w.qFront().ready
-	for i := w.qHead + 1; i < len(w.queue); i++ {
-		if r := w.queue[i].ready; r < next {
-			next = r
-		}
-	}
-	return next
 }
 
 // NextEvent returns the earliest tick at which Advance makes progress.
 func (w *warp) NextEvent() (uint64, bool) {
-	next := ^uint64(0)
+	next, _ := w.Stage.NextEvent()
 	for i := range w.lanes {
 		l := &w.lanes[i]
 		if len(l.reqs) > 0 && l.since+w.timeout() < next {
 			next = l.since + w.timeout()
 		}
 	}
-	if len(w.inflight) > 0 && w.inflight[0].tick < next {
-		next = w.inflight[0].tick
-	}
-	if len(w.retryQ) > 0 && w.retryQ[0].ready < next {
-		next = w.retryQ[0].ready
-	}
-	if w.qLen() > 0 {
-		if ready := w.queueNextReady(); ready > w.lastAdvance && ready < next {
-			next = ready
-		}
-	}
 	return next, next != ^uint64(0)
 }
 
-// Drain closes every open warp and runs the clock forward until idle,
-// with the same watchdog and stuck-queue diagnostics as the two-phase
-// coalescer.
+// Drain closes every open warp and runs the shared stage until idle.
 func (w *warp) Drain(now uint64) (uint64, error) {
 	w.Advance(now)
 	for i := range w.lanes {
@@ -653,68 +311,16 @@ func (w *warp) Drain(now uint64) (uint64, error) {
 			w.closeWarp(now, i, closeDrain)
 		}
 	}
-	idle := now
-	for len(w.inflight) > 0 || w.qLen() > 0 || len(w.retryQ) > 0 {
-		if w.viol != nil {
-			return idle, w.viol
-		}
-		next := ^uint64(0)
-		if len(w.inflight) > 0 && w.inflight[0].tick != coalescer.NeverTick {
-			next = w.inflight[0].tick
-		}
-		if len(w.retryQ) > 0 && w.retryQ[0].ready < next {
-			next = w.retryQ[0].ready
-		}
-		if w.qLen() > 0 {
-			if ready := w.queueNextReady(); ready > idle && ready < next {
-				next = ready
-			}
-		}
-		if next == ^uint64(0) {
-			if werr := w.WatchdogError(); werr != nil {
-				return idle, werr
-			}
-			v := invariant.Violatef(invariant.RuleCRQStuck, idle, w.DebugState(),
-				"warp queue stuck with no requests in flight (%d queued, MSHR free=%d)",
-				w.qLen(), w.file.Free())
-			w.setViol(v)
-			return idle, v
-		}
-		if next > idle {
-			idle = next
-		}
-		w.releaseRetries(idle)
-		if len(w.inflight) > 0 && w.inflight[0].tick <= idle {
-			w.completeOne()
-		}
-		w.drainQueue(idle)
-	}
-	if w.viol != nil {
-		return idle, w.viol
-	}
-	return idle, nil
+	return w.Stage.Drain(now)
 }
 
-func (w *warp) Err() error { return w.viol }
-
-func (w *warp) setViol(v *invariant.Violation) {
-	w.check.Record(v)
-	if w.viol == nil {
-		w.viol = v
-	}
-}
-
-func (w *warp) Stats() coalescer.Stats { return w.stats }
-
-func (w *warp) MSHRStats() mshr.Stats { return w.file.Stats() }
-
-// QueueDepths reports the total warp-buffered requests and the packet
-// queue occupancy.
+// QueueDepths reports the total warp-buffered requests and the CRQ
+// occupancy.
 func (w *warp) QueueDepths() (pending, crq int) {
 	for i := range w.lanes {
 		pending += len(w.lanes[i].reqs)
 	}
-	return pending, w.qLen()
+	return pending, w.CRQLen()
 }
 
 func (w *warp) DebugState() string {
@@ -724,160 +330,16 @@ func (w *warp) DebugState() string {
 			open++
 		}
 	}
-	s := fmt.Sprintf("lastAdvance=%d freedAt=%d lastIssue=%d free=%d openWarps=%d",
-		w.lastAdvance, w.freedAt, w.lastIssue, w.file.Free(), open)
-	if w.qLen() > 0 {
-		p := *w.qFront()
-		s += fmt.Sprintf(" head{base=%d lines=%d write=%v ready=%d blocked=%v targets=%d}",
-			p.baseLine, p.lines, p.write, p.ready, p.blocked, len(p.targets))
-	}
-	return s
-}
-
-func (w *warp) SetChecker(ck *invariant.Checker) {
-	w.check = ck
-	w.file.SetChecker(ck)
+	return fmt.Sprintf("%s openWarps=%d", w.Stage.DebugState(), open)
 }
 
 // CheckDrained audits the end-of-run conservation laws.
 func (w *warp) CheckDrained(tick uint64) error {
 	for i := range w.lanes {
 		if n := len(w.lanes[i].reqs); n != 0 {
-			return w.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
+			return w.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
 				w.DebugState(), "%d request(s) left in lane %d's warp after drain", n, i))
 		}
 	}
-	if n := w.qLen(); n != 0 {
-		return w.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
-			w.DebugState(), "%d packet(s) left in the warp queue after drain", n))
-	}
-	if n := len(w.retryQ); n != 0 {
-		return w.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
-			w.DebugState(), "%d failed span(s) left in the retry queue after drain", n))
-	}
-	if n := len(w.inflight); n != 0 {
-		return w.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
-			w.DebugState(), "%d request(s) still in flight after drain", n))
-	}
-	return w.file.CheckLeaks(tick)
-}
-
-// WatchdogError describes the oldest response that will never arrive, or
-// nil when every in-flight response is still expected. The message splices
-// coalescer.ErrWatchdog so soak harnesses classify it identically.
-func (w *warp) WatchdogError() error {
-	dropped := 0
-	var oldest *wcompletion
-	for i := range w.inflight {
-		it := &w.inflight[i]
-		if it.tick != coalescer.NeverTick {
-			continue
-		}
-		dropped++
-		if oldest == nil || it.issuedAt < oldest.issuedAt ||
-			(it.issuedAt == oldest.issuedAt && it.entry.Index() < oldest.entry.Index()) {
-			oldest = it
-		}
-	}
-	if oldest == nil {
-		return nil
-	}
-	e := oldest.entry
-	return fmt.Errorf("frontend(warp): %w: %d response(s) never arrived; oldest: line %d "+
-		"(MSHR entry %d, %d lines, write=%v, %d waiters, issued at %d); %s",
-		coalescer.ErrWatchdog, dropped, e.BaseLine(), e.Index(), e.Lines(), e.Write(),
-		len(e.Subs()), oldest.issuedAt, w.DebugState())
-}
-
-// DoomedTokens visits the waiter tokens of dropped in-flight requests.
-func (w *warp) DoomedTokens(fn func(token uint64)) {
-	for i := range w.inflight {
-		it := &w.inflight[i]
-		if it.tick != coalescer.NeverTick {
-			continue
-		}
-		for _, sub := range it.entry.Subs() {
-			fn(sub.Token)
-		}
-	}
-}
-
-// The heaps are hand-inlined like the two-phase coalescer's, mirroring
-// container/heap's sift order so same-tick pops are deterministic.
-
-func wcompletionPush(h []wcompletion, x wcompletion) []wcompletion {
-	h = append(h, x)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[i].tick >= h[p].tick {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-func wcompletionPop(h []wcompletion) ([]wcompletion, wcompletion) {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	item := h[n]
-	h = h[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h[r].tick < h[j].tick {
-			j = r
-		}
-		if h[j].tick >= h[i].tick {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	return h, item
-}
-
-func wretryLess(a, b *wpacket) bool {
-	if a.ready != b.ready {
-		return a.ready < b.ready
-	}
-	return a.seq < b.seq
-}
-
-func wretryPush(h []wpacket, x wpacket) []wpacket {
-	h = append(h, x)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !wretryLess(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-func wretryPop(h []wpacket) ([]wpacket, wpacket) {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	item := h[n]
-	h = h[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && wretryLess(&h[r], &h[j]) {
-			j = r
-		}
-		if !wretryLess(&h[j], &h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	return h, item
+	return w.Stage.CheckDrained(tick)
 }

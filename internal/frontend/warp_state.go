@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hmccoal/internal/coalescer"
-	"hmccoal/internal/mshr"
 )
 
 // warpLaneState is one captured open warp buffer.
@@ -13,152 +12,48 @@ type warpLaneState struct {
 	since uint64
 }
 
-// wcompletionState is one captured in-flight completion; the MSHR entry
-// pointer is stored as its stable index and re-pointed on restore.
-type wcompletionState struct {
-	tick       uint64
-	entryIndex int
-	issuedAt   uint64
-	fault      bool
-	attempt    int
-	cpu        uint8
-	critical   bool
-}
-
 // warpSnap is an opaque deep copy of the warp unit's mutable state: every
-// open warp buffer, the packet queue (linearized head-first), both heaps
-// in verbatim array order, the MSHR file and every statistic.
+// open warp buffer plus the shared stage's own snapshot.
 type warpSnap struct {
-	lanes    []warpLaneState
-	queue    []wpacket // FIFO order, head first; targets deep-copied
-	inflight []wcompletionState
-	retryQ   []wpacket
-
-	freedAt     uint64
-	lastIssue   uint64
-	lastAdvance uint64
-	fillStart   uint64
-	fillCount   int
-	stats       coalescer.Stats
-	retrySeq    uint64
-	laneBytes   []uint64
-
-	file *mshr.FileState
+	lanes []warpLaneState
+	stage *coalescer.StageState
 }
 
 func (*warpSnap) frontendSnapshot() {}
 
-func saveWPacket(p *wpacket) wpacket {
-	cp := *p
-	cp.targets = append([]mshr.Target(nil), p.targets...)
-	return cp
-}
-
 // SaveState deep-copies the warp unit's mutable state; it refuses to
 // snapshot after a latched conservation violation.
 func (w *warp) SaveState() (Snapshot, error) {
-	if w.viol != nil {
-		return nil, fmt.Errorf("frontend: cannot snapshot after violation: %w", w.viol)
+	stage, err := w.Stage.SaveState()
+	if err != nil {
+		return nil, err
 	}
-	st := &warpSnap{
-		freedAt:     w.freedAt,
-		lastIssue:   w.lastIssue,
-		lastAdvance: w.lastAdvance,
-		fillStart:   w.fillStart,
-		fillCount:   w.fillCount,
-		stats:       w.stats,
-		retrySeq:    w.retrySeq,
-		file:        w.file.SaveState(),
-	}
-	st.lanes = make([]warpLaneState, len(w.lanes))
+	st := &warpSnap{lanes: make([]warpLaneState, len(w.lanes)), stage: stage}
 	for i := range w.lanes {
 		st.lanes[i] = warpLaneState{
 			reqs:  append([]wreq(nil), w.lanes[i].reqs...),
 			since: w.lanes[i].since,
 		}
 	}
-	st.queue = make([]wpacket, 0, w.qLen())
-	for i := w.qHead; i < len(w.queue); i++ {
-		st.queue = append(st.queue, saveWPacket(&w.queue[i]))
-	}
-	st.inflight = make([]wcompletionState, len(w.inflight))
-	for i := range w.inflight {
-		st.inflight[i] = wcompletionState{
-			tick:       w.inflight[i].tick,
-			entryIndex: w.inflight[i].entry.Index(),
-			issuedAt:   w.inflight[i].issuedAt,
-			fault:      w.inflight[i].fault,
-			attempt:    w.inflight[i].attempt,
-			cpu:        w.inflight[i].cpu,
-			critical:   w.inflight[i].critical,
-		}
-	}
-	st.retryQ = make([]wpacket, len(w.retryQ))
-	for i := range w.retryQ {
-		st.retryQ[i] = saveWPacket(&w.retryQ[i])
-	}
-	if w.laneBytes != nil {
-		st.laneBytes = append([]uint64(nil), w.laneBytes...)
-	}
 	return st, nil
 }
 
 // RestoreState replays a snapshot into the warp unit, which must have been
-// built from the same configuration. The queue is re-laid-out from index 0
-// while both heaps restore in verbatim array order, so future pops break
-// ties exactly as the snapshotted run would.
+// built from the same configuration.
 func (w *warp) RestoreState(s Snapshot) error {
 	st, ok := s.(*warpSnap)
 	if !ok {
 		return fmt.Errorf("frontend: %v snapshot restored into warp frontend", kindOf(s))
 	}
-	if w.viol != nil {
-		return fmt.Errorf("frontend: cannot restore after violation: %w", w.viol)
-	}
 	if len(st.lanes) != len(w.lanes) {
 		return fmt.Errorf("frontend: snapshot has %d lanes, warp has %d", len(st.lanes), len(w.lanes))
 	}
-	if err := w.file.RestoreState(st.file); err != nil {
+	if err := w.Stage.RestoreState(st.stage); err != nil {
 		return err
 	}
 	for i := range w.lanes {
 		w.lanes[i].reqs = append(w.lanes[i].reqs[:0], st.lanes[i].reqs...)
 		w.lanes[i].since = st.lanes[i].since
-	}
-	w.queue = w.queue[:0]
-	w.qHead = 0
-	for i := range st.queue {
-		w.queue = append(w.queue, saveWPacket(&st.queue[i]))
-	}
-	w.inflight = w.inflight[:0]
-	for i := range st.inflight {
-		w.inflight = append(w.inflight, wcompletion{
-			tick:     st.inflight[i].tick,
-			entry:    w.file.EntryAt(st.inflight[i].entryIndex),
-			issuedAt: st.inflight[i].issuedAt,
-			fault:    st.inflight[i].fault,
-			attempt:  st.inflight[i].attempt,
-			cpu:      st.inflight[i].cpu,
-			critical: st.inflight[i].critical,
-		})
-	}
-	w.retryQ = w.retryQ[:0]
-	for i := range st.retryQ {
-		w.retryQ = append(w.retryQ, saveWPacket(&st.retryQ[i]))
-	}
-	w.freedAt = st.freedAt
-	w.lastIssue = st.lastIssue
-	w.lastAdvance = st.lastAdvance
-	w.fillStart = st.fillStart
-	w.fillCount = st.fillCount
-	w.stats = st.stats
-	w.retrySeq = st.retrySeq
-	if st.laneBytes != nil {
-		w.laneBytes = append(w.laneBytes[:0], st.laneBytes...)
-	} else if w.laneBytes != nil {
-		for i := range w.laneBytes {
-			w.laneBytes[i] = 0
-		}
 	}
 	return nil
 }

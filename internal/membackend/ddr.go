@@ -60,14 +60,6 @@ func newDDR(cfg hmc.Config) (Backend, error) {
 
 func (b *ddrBackend) Kind() Kind { return KindDDR }
 
-func (b *ddrBackend) Submit(tick uint64, req hmc.Request) (uint64, error) {
-	comp, err := b.SubmitPacket(tick, req)
-	if err != nil {
-		return 0, err
-	}
-	return comp.Done, nil
-}
-
 func (b *ddrBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion, error) {
 	if err := validateRequest(&b.cfg, req); err != nil {
 		return hmc.Completion{}, err
@@ -122,14 +114,6 @@ func (b *ddrBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion,
 }
 
 func (b *ddrBackend) Stats() hmc.Stats { return b.core.statsCopy() }
-
-func (b *ddrBackend) Reset() {
-	for i := range b.banks {
-		b.banks[i] = ddrBank{}
-	}
-	b.bus = 0
-	b.core.reset()
-}
 
 func (b *ddrBackend) Snapshot() Snapshot {
 	return ddrSnapshot{

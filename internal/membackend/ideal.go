@@ -39,14 +39,6 @@ func newIdeal(cfg hmc.Config) (Backend, error) {
 
 func (b *idealBackend) Kind() Kind { return KindIdeal }
 
-func (b *idealBackend) Submit(tick uint64, req hmc.Request) (uint64, error) {
-	comp, err := b.SubmitPacket(tick, req)
-	if err != nil {
-		return 0, err
-	}
-	return comp.Done, nil
-}
-
 func (b *idealBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion, error) {
 	if err := validateRequest(&b.cfg, req); err != nil {
 		return hmc.Completion{}, err
@@ -64,8 +56,6 @@ func (b *idealBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completio
 }
 
 func (b *idealBackend) Stats() hmc.Stats { return b.core.statsCopy() }
-
-func (b *idealBackend) Reset() { b.core.reset() }
 
 func (b *idealBackend) Snapshot() Snapshot { return idealSnapshot{core: b.core.save()} }
 

@@ -88,16 +88,11 @@ type Snapshot interface{ backendSnapshot() }
 type Backend interface {
 	// Kind identifies the implementation.
 	Kind() Kind
-	// Submit presents one packet and returns its perfect-link completion
-	// tick; see hmc.Device.Submit for the fault-mode caveats.
-	Submit(tick uint64, req hmc.Request) (uint64, error)
 	// SubmitPacket presents one packet and reports when — and whether —
 	// the response reaches the host.
 	SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion, error)
 	// Stats returns a copy of the accumulated device statistics.
 	Stats() hmc.Stats
-	// Reset clears all device state and statistics.
-	Reset()
 	// Snapshot deep-copies the backend's mutable state; Restore replays a
 	// snapshot into a backend of identical kind and configuration.
 	Snapshot() Snapshot
@@ -143,17 +138,11 @@ func (hmcSnapshot) backendSnapshot() {}
 
 func (b *hmcBackend) Kind() Kind { return KindHMC }
 
-func (b *hmcBackend) Submit(tick uint64, req hmc.Request) (uint64, error) {
-	return b.dev.Submit(tick, req)
-}
-
 func (b *hmcBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion, error) {
 	return b.dev.SubmitPacket(tick, req)
 }
 
 func (b *hmcBackend) Stats() hmc.Stats { return b.dev.Stats() }
-
-func (b *hmcBackend) Reset() { b.dev.Reset() }
 
 func (b *hmcBackend) Snapshot() Snapshot { return hmcSnapshot{st: b.dev.Snapshot()} }
 
@@ -170,20 +159,6 @@ func (b *hmcBackend) DebugLinks() string { return b.dev.DebugLinks() }
 func (b *hmcBackend) SetChecker(c *invariant.Checker) { b.dev.SetChecker(c) }
 
 func (b *hmcBackend) CheckConservation(tick uint64) error { return b.dev.CheckConservation(tick) }
-
-// Device exposes the wrapped HMC device for callers that need HMC-only
-// surface (fault statistics, link inspection).
-func (b *hmcBackend) Device() *hmc.Device { return b.dev }
-
-// HMCDevice unwraps a Backend to its *hmc.Device when the backend is the
-// HMC model, for callers needing HMC-only surface.
-func HMCDevice(b Backend) (*hmc.Device, bool) {
-	hb, ok := b.(*hmcBackend)
-	if !ok {
-		return nil, false
-	}
-	return hb.dev, true
-}
 
 // kindOf names a snapshot's origin kind for mismatch diagnostics.
 func kindOf(s Snapshot) Kind {

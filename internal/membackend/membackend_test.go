@@ -281,44 +281,3 @@ func TestRestoreKindMismatch(t *testing.T) {
 		}
 	}
 }
-
-func TestHMCDeviceUnwrap(t *testing.T) {
-	b, err := New(KindHMC, hmc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev, ok := HMCDevice(b); !ok || dev == nil {
-		t.Errorf("HMCDevice failed to unwrap the hmc backend")
-	}
-	d, err := New(KindDDR, hmc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := HMCDevice(d); ok {
-		t.Errorf("HMCDevice unwrapped a ddr backend")
-	}
-}
-
-func TestResetClearsBackends(t *testing.T) {
-	for _, k := range []Kind{KindHMC, KindDDR, KindIdeal} {
-		b, err := New(k, hmc.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(k, hmc.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		submitPattern(t, b, 100)
-		b.Reset()
-		if got, want := b.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: Reset left stats dirty:\n%+v\nwant fresh:\n%+v", k, got, want)
-		}
-		// Post-reset traffic must match a fresh device exactly.
-		db := submitPattern(t, b, 100)
-		df := submitPattern(t, fresh, 100)
-		if !reflect.DeepEqual(db, df) {
-			t.Errorf("%v: post-Reset completions differ from a fresh backend", k)
-		}
-	}
-}

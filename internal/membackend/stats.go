@@ -80,14 +80,6 @@ func (s *statsCore) statsCopy() hmc.Stats {
 	return out
 }
 
-func (s *statsCore) reset() {
-	for i := range s.sizeHist {
-		s.sizeHist[i] = 0
-	}
-	s.stats = hmc.Stats{VaultRequests: make([]uint64, 1)}
-	s.chkIssuedB, s.chkDeliveredB = 0, 0
-}
-
 func (s *statsCore) save() statsCoreState {
 	st := statsCoreState{
 		sizeHist:      append([]uint64(nil), s.sizeHist...),
