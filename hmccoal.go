@@ -72,10 +72,11 @@ type (
 	// (Config.Sched): strict FR-FCFS or the heterogeneity-aware
 	// scheduler. The zero value is FR-FCFS.
 	SchedKind = frontend.SchedKind
-	// SystemSnapshot is a deterministic mid-run snapshot of a System
-	// (System.Snapshot / System.Restore): restoring it into a fresh system
-	// built from the same Config and stepping to completion reproduces the
-	// uninterrupted run byte-for-byte.
+	// SystemSnapshot marks a mid-run point of a System (System.Snapshot /
+	// System.Restore): its config, trace, step count and tick, no
+	// simulator state. Restoring it into a fresh system built from the
+	// same Config replays the steps, and stepping on to completion
+	// reproduces the uninterrupted run byte-for-byte.
 	SystemSnapshot = sim.Snapshot
 )
 

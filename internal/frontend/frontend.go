@@ -111,10 +111,6 @@ func ParseSched(s string) (SchedKind, error) {
 // Scheds lists the recognized scheduler names for usage messages.
 func Scheds() []string { return []string{"frfcfs", "hetero"} }
 
-// Snapshot is an opaque deep copy of one front-end's mutable state. It can
-// only be restored into a front-end of the same kind and configuration.
-type Snapshot interface{ frontendSnapshot() }
-
 // Config parameterizes a front-end: which implementation, which issue
 // policy, how many request lanes (CPUs) feed it, and the shared coalescer
 // geometry/timing every front-end interprets.
@@ -137,8 +133,6 @@ type Config struct {
 // deterministic: the same push sequence produces the same issues,
 // completions and statistics.
 type Frontend interface {
-	// Kind identifies the implementation.
-	Kind() Kind
 	// Push presents one LLC request at the given tick; ticks must be
 	// non-decreasing across Push/Fence/Advance calls.
 	Push(now uint64, r coalescer.Request)
@@ -168,98 +162,22 @@ type Frontend interface {
 	WatchdogError() error
 	// DoomedTokens visits the waiter tokens of dropped in-flight requests.
 	DoomedTokens(fn func(token uint64))
-	// SaveState deep-copies the front-end's mutable state; RestoreState
-	// replays a snapshot into a front-end of identical kind and config.
-	SaveState() (Snapshot, error)
-	RestoreState(Snapshot) error
 }
 
 // New builds a front-end of the configured kind. issue and complete must
-// be non-nil.
+// be non-nil. The two-phase kind is the bare *coalescer.Coalescer: storing
+// a pointer in the interface never heap-allocates, so the default path's
+// alloc profile is the pre-frontend simulator's.
 func New(cfg Config, issue coalescer.IssueFunc, complete coalescer.CompleteFunc) (Frontend, error) {
 	if err := cfg.Kind.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Kind {
-	case KindTwoPhase:
-		c, err := coalescer.New(cfg.Coalescer, cfg.Sched, issue, complete)
-		if err != nil {
-			return nil, err
-		}
-		return (*twoPhase)(c), nil
-	case KindWarp:
+	if cfg.Kind == KindWarp {
 		return newWarp(cfg, issue, complete)
 	}
-	return nil, fmt.Errorf("frontend: unknown frontend kind %d", int(cfg.Kind))
-}
-
-// twoPhase adapts *coalescer.Coalescer to the Frontend interface. It is a
-// named pointer type rather than a wrapper struct so the adaptation is
-// allocation-free: converting the coalescer pointer and assigning it to
-// the interface never heap-allocates, keeping the default path's alloc
-// profile identical to the pre-frontend simulator.
-type twoPhase coalescer.Coalescer
-
-// twoPhaseSnap wraps the coalescer's own state type.
-type twoPhaseSnap struct{ st *coalescer.State }
-
-func (twoPhaseSnap) frontendSnapshot() {}
-
-func (t *twoPhase) c() *coalescer.Coalescer { return (*coalescer.Coalescer)(t) }
-
-func (t *twoPhase) Kind() Kind { return KindTwoPhase }
-
-func (t *twoPhase) Push(now uint64, r coalescer.Request) { t.c().Push(now, r) }
-
-func (t *twoPhase) Fence(now uint64) { t.c().Fence(now) }
-
-func (t *twoPhase) Advance(now uint64) { t.c().Advance(now) }
-
-func (t *twoPhase) NextEvent() (uint64, bool) { return t.c().NextEvent() }
-
-func (t *twoPhase) Drain(now uint64) (uint64, error) { return t.c().Drain(now) }
-
-func (t *twoPhase) Err() error { return t.c().Err() }
-
-func (t *twoPhase) Stats() coalescer.Stats { return t.c().Stats() }
-
-func (t *twoPhase) MSHRStats() mshr.Stats { return t.c().MSHRStats() }
-
-func (t *twoPhase) QueueDepths() (pending, crq int) { return t.c().QueueDepths() }
-
-func (t *twoPhase) DebugState() string { return t.c().DebugState() }
-
-func (t *twoPhase) SetChecker(ck *invariant.Checker) { t.c().SetChecker(ck) }
-
-func (t *twoPhase) CheckDrained(tick uint64) error { return t.c().CheckDrained(tick) }
-
-func (t *twoPhase) WatchdogError() error { return t.c().WatchdogError() }
-
-func (t *twoPhase) DoomedTokens(fn func(token uint64)) { t.c().DoomedTokens(fn) }
-
-func (t *twoPhase) SaveState() (Snapshot, error) {
-	st, err := t.c().SaveState()
+	c, err := coalescer.New(cfg.Coalescer, cfg.Sched, issue, complete)
 	if err != nil {
 		return nil, err
 	}
-	return twoPhaseSnap{st: st}, nil
-}
-
-func (t *twoPhase) RestoreState(s Snapshot) error {
-	ts, ok := s.(twoPhaseSnap)
-	if !ok {
-		return fmt.Errorf("frontend: %v snapshot restored into two-phase frontend", kindOf(s))
-	}
-	return t.c().RestoreState(ts.st)
-}
-
-// kindOf names a snapshot's origin kind for mismatch diagnostics.
-func kindOf(s Snapshot) Kind {
-	switch s.(type) {
-	case twoPhaseSnap:
-		return KindTwoPhase
-	case *warpSnap:
-		return KindWarp
-	}
-	return Kind(-1)
+	return c, nil
 }

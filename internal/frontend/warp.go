@@ -59,7 +59,7 @@ const (
 )
 
 // newWarp builds the warp coalescing unit.
-func newWarp(cfg Config, issue coalescer.IssueFunc, complete coalescer.CompleteFunc) (*warp, error) {
+func newWarp(cfg Config, issue coalescer.IssueFunc, complete coalescer.CompleteFunc) (Frontend, error) {
 	stage, err := coalescer.NewStage(cfg.Coalescer, cfg.Sched, issue, complete)
 	if err != nil {
 		return nil, err
@@ -75,8 +75,6 @@ func newWarp(cfg Config, issue coalescer.IssueFunc, complete coalescer.CompleteF
 		linesBlock: uint64(cfg.Coalescer.BlockBytes / cfg.Coalescer.LineBytes),
 	}, nil
 }
-
-func (w *warp) Kind() Kind { return KindWarp }
 
 // timeout is the warp-close timeout; the warp unit uses the configured
 // value directly (there is no sorter latency to adapt to).

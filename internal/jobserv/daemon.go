@@ -81,16 +81,15 @@ var (
 // execCtl is what the daemon hands an executing job.
 type execCtl struct {
 	ctx      context.Context
-	park     *parkState // in-memory resume state from a previous preemption
 	progress func(done, total int)
 	dir      string // daemon state dir (checkpoints, repro artifacts)
 }
 
 // execOutcome is one execution attempt's verdict: exactly one of result
-// (terminal success), park (interrupted, resumable) or err.
+// (terminal success) or err. An err caused by a park request parks the
+// job instead of failing it.
 type execOutcome struct {
 	result []byte
-	park   *parkState
 	err    error
 }
 
@@ -218,9 +217,8 @@ func (d *Daemon) recover() error {
 			}
 		}
 	}
-	// Jobs the dead process was running restart as queued: their durable
-	// checkpoints carry completed work, and any in-memory snapshot died
-	// with the process.
+	// Jobs the dead process was running restart as queued: sweeps and
+	// soaks resume from their durable checkpoints, singles start over.
 	var adopted []*Job
 	for _, j := range d.jobs {
 		if j.state == StateRunning {
@@ -351,8 +349,6 @@ func (d *Daemon) startLocked(j *Job) bool {
 	if d.opt.JobTimeout > 0 {
 		r.watchdog = time.AfterFunc(d.opt.JobTimeout, func() { cancel(errTimeout) })
 	}
-	park := j.park
-	j.park = nil
 	j.state = StateRunning
 	j.attempts++
 	j.preempting = false
@@ -361,9 +357,8 @@ func (d *Daemon) startLocked(j *Job) bool {
 	d.tenantLocked(j.Tenant).running++
 
 	ctl := execCtl{
-		ctx:  ctx,
-		park: park,
-		dir:  d.opt.Dir,
+		ctx: ctx,
+		dir: d.opt.Dir,
 		progress: func(done, total int) {
 			d.mu.Lock()
 			j.progressDone, j.progressTotal = done, total
@@ -389,18 +384,13 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 	}
 	cause := context.Cause(r.ctx)
 
-	// An executor interrupted by a park request that could not produce
-	// in-memory resume state (sweeps, soaks — their checkpoints are
-	// durable) still parks: the error is the interruption, not a failure.
-	if out.err != nil && out.park == nil &&
-		(errors.Is(cause, errPark) || errors.Is(cause, errDrainPark)) {
-		out = execOutcome{park: &parkState{}}
-	}
-
+	// An executor interrupted by a park request parks: the error is the
+	// interruption, not a failure. Sweeps and soaks resume from their
+	// durable checkpoints; singles re-run from the start.
 	var ev event
 	var state State
 	switch {
-	case out.park != nil:
+	case out.err != nil && (errors.Is(cause, errPark) || errors.Is(cause, errDrainPark)):
 		ev = event{Type: evPark, ID: j.ID}
 		state = StateParked
 	case out.err != nil && errors.Is(cause, errCancelReq):
@@ -435,7 +425,6 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 	j.state = state
 	switch state {
 	case StateParked:
-		j.park = out.park
 		j.preemptions++
 		tn.queued++
 		d.pending = append(d.pending, j)
@@ -533,7 +522,6 @@ func (d *Daemon) Cancel(id string) error {
 		d.removePendingLocked(j)
 		d.tenantLocked(j.Tenant).queued--
 		j.state = StateCanceled
-		j.park = nil
 		d.cond.Broadcast()
 		d.mu.Unlock()
 		if err := d.led.append(event{Type: evCancel, ID: id}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,6 +157,10 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Frontend: "no-such-frontend"},
 		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Sched: "no-such-sched"},
 		{Kind: KindSweep, Sweep: "stride", Frontend: "no-such-frontend"},
+		// Axis values the simulator refuses at run time.
+		{Kind: KindSweep, Sweep: "mshr", Bench: hmccoal.Benchmarks()[0], Entries: []int{16, 0}},
+		{Kind: KindSweep, Sweep: "fault", Bench: hmccoal.Benchmarks()[0], BERs: []float64{2}},
+		{Kind: KindSweep, Sweep: "fault", Bench: hmccoal.Benchmarks()[0], BERs: []float64{math.NaN()}},
 	}
 	for _, spec := range bad {
 		if _, err := d.Submit("t", 0, spec); err == nil {

@@ -9,11 +9,11 @@
 // done/failed/canceled); sweep and soak jobs additionally persist their
 // completed work in the sweep layer's JSONL checkpoints, so a job that
 // restarts after a crash recomputes only its unfinished groups and still
-// produces byte-identical results. Single-run jobs are preempted through
-// the simulator's in-memory Snapshot/Restore — zero recompute while the
-// daemon lives — and re-run deterministically from scratch after a crash,
-// which yields the same bytes by the simulator's core determinism
-// contract.
+// produces byte-identical results. Single-run jobs keep no resume state:
+// a preempted, drained or crashed single re-runs from the start, which
+// yields the same bytes by the simulator's core determinism contract. A
+// default single (4 CPUs × 400 ops) runs in a few milliseconds, so
+// restarting costs about what snapshotting it would.
 package jobserv
 
 import (
@@ -135,9 +135,11 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("jobserv: unknown sweep %q (valid: runall, fig14, timeout, mshr, speedup, fault, stride)", s.Sweep)
 		}
 		if s.Sweep == "timeout" || s.Sweep == "mshr" || s.Sweep == "fault" {
-			return checkBench()
+			if err := checkBench(); err != nil {
+				return err
+			}
 		}
-		return nil
+		return s.validateAxis()
 	case KindSoak:
 		if s.Runs <= 0 {
 			return fmt.Errorf("jobserv: soak jobs need runs > 0")
@@ -146,6 +148,33 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("jobserv: unknown job kind %q", s.Kind)
 	}
+}
+
+// validateAxis rejects MSHR sizes and bit error rates the simulator would
+// refuse at run time, by validating the configuration each grid point
+// runs.
+func (s Spec) validateAxis() error {
+	var points []hmccoal.Config
+	switch s.Sweep {
+	case "mshr":
+		for _, n := range s.Entries {
+			cfg := hmccoal.DefaultConfig()
+			cfg.Coalescer.MSHR.Entries = n
+			points = append(points, cfg)
+		}
+	case "fault":
+		for _, ber := range s.BERs {
+			cfg := hmccoal.DefaultConfig()
+			cfg.HMC.Fault.BER = ber
+			points = append(points, cfg)
+		}
+	}
+	for _, cfg := range points {
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("jobserv: %s sweep: %w", s.Sweep, err)
+		}
+	}
+	return nil
 }
 
 // params assembles the spec's trace parameters, defaulting zero fields.
@@ -179,10 +208,6 @@ type Job struct {
 	progressDone  int
 	progressTotal int
 
-	// park is the in-memory resume state of a preempted single-run job
-	// (the simulator snapshot). It does not survive the process — after a
-	// crash the job re-runs from scratch, deterministically.
-	park *parkState
 	// preempting marks a running job already asked to park, so the
 	// scheduler does not preempt it twice.
 	preempting bool

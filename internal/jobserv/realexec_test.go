@@ -3,6 +3,8 @@ package jobserv
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,9 +12,9 @@ import (
 )
 
 // These tests run the production executors (realExec) end to end: real
-// simulations, real checkpoints, real Snapshot/Restore preemption. They pin
-// the service's headline guarantee — results are byte-identical across any
-// interruption history.
+// simulations, real checkpoints, real preemption. They pin the service's
+// headline guarantee — results are byte-identical across any interruption
+// history.
 
 // waitDone waits for a terminal state and asserts it is done.
 func waitDone(t *testing.T, d *Daemon, id string, timeout time.Duration) {
@@ -27,8 +29,8 @@ func waitDone(t *testing.T, d *Daemon, id string, timeout time.Duration) {
 }
 
 // TestPreemptResumeEqualsUninterrupted preempts a real single-run job mid-
-// simulation via Snapshot/Restore and pins that the resumed run's result
-// bytes equal an uninterrupted run of the same spec.
+// simulation and pins that the resumed run, which starts over, yields the
+// result bytes of an uninterrupted run of the same spec.
 func TestPreemptResumeEqualsUninterrupted(t *testing.T) {
 	lowSpec := Spec{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], CPUs: 4, Ops: 3000, Seed: 11}
 	highSpec := Spec{Kind: KindSingle, Bench: hmccoal.Benchmarks()[1], CPUs: 2, Ops: 60, Seed: 5}
@@ -198,5 +200,34 @@ func TestFrontendJobsRunToDone(t *testing.T) {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Errorf("spec %+v results differ across daemons", specs[i])
 		}
+	}
+}
+
+// TestMSHRSweepJobReportsEfficiency runs an mshr sweep job through the
+// production executor: its payload carries MSHRSweepContext's coalescing
+// efficiencies for the same spec under "coalescing_eff".
+func TestMSHRSweepJobReportsEfficiency(t *testing.T) {
+	spec := Spec{Kind: KindSweep, Sweep: "mshr", Bench: hmccoal.Benchmarks()[0], CPUs: 2, Ops: 100, Entries: []int{4, 16}}
+	d := newTestDaemon(t, Options{Slots: 1, SweepWorkers: 2})
+	id := mustSubmit(t, d, "mshr", 0, spec)
+	waitDone(t, d, id, 120*time.Second)
+	raw, err := d.Result(id)
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	var got map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	var eff []float64
+	if err := json.Unmarshal(got["coalescing_eff"], &eff); err != nil {
+		t.Fatalf("coalescing_eff in %s: %v", raw, err)
+	}
+	want, err := hmccoal.MSHRSweepContext(context.Background(), spec.Bench, spec.params(), spec.Entries, hmccoal.SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(eff, want) {
+		t.Fatalf("mshr job reports %v, MSHRSweepContext gives %v", eff, want)
 	}
 }

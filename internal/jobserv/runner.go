@@ -3,7 +3,6 @@ package jobserv
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -11,25 +10,14 @@ import (
 	"hmccoal/internal/soak"
 )
 
-// parkState is the in-memory resume state of a preempted single-run job:
-// the simulator snapshot plus everything needed to rebuild the system it
-// restores into. Sweep and soak jobs leave it empty — their resume state
-// is the durable JSONL checkpoint. parkState never leaves the process; a
-// crashed daemon re-runs single jobs from scratch, which is byte-identical
-// by the simulator's determinism contract.
-type parkState struct {
-	snap *hmccoal.SystemSnapshot
-	cfg  hmccoal.Config
-	accs []hmccoal.Access
-}
-
 // parkCheckInterval is how many simulator steps a single-run job advances
-// between preemption checks: small enough that park latency is
+// between interruption checks: small enough that park latency is
 // microseconds, large enough that the check never shows in a profile.
 const parkCheckInterval = 4096
 
 // realExec is the production executor: it dispatches a job to its kind's
-// driver and translates interruption causes into park outcomes.
+// driver. An interrupted driver returns the cancellation cause as its
+// error; finish turns park causes into a park.
 func (d *Daemon) realExec(ctl execCtl, id string, spec Spec) execOutcome {
 	switch spec.Kind {
 	case KindSingle:
@@ -43,58 +31,45 @@ func (d *Daemon) realExec(ctl execCtl, id string, spec Spec) execOutcome {
 	}
 }
 
-// execSingle runs one benchmark under the two-phase coalescer, checking
-// for preemption every parkCheckInterval steps. A park request snapshots
-// the live simulation — the paper pipeline's Snapshot/Restore — so the
-// resumed attempt continues from the exact tick with zero recompute and a
-// summary byte-identical to an uninterrupted run.
-func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
-	var sys *hmccoal.System
-	var cfg hmccoal.Config
-	var accs []hmccoal.Access
-
-	if ctl.park != nil && ctl.park.snap != nil {
-		// Resume: rebuild the system and restore the parked snapshot.
-		cfg, accs = ctl.park.cfg, ctl.park.accs
-		restored, err := hmccoal.NewSystem(cfg)
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		if err := restored.Restore(ctl.park.snap); err != nil {
-			return execOutcome{err: err}
-		}
-		sys = restored
-	} else {
-		backend, err := hmccoal.ParseBackend(spec.Backend)
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		fe, err := hmccoal.ParseFrontend(spec.Frontend)
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		sched, err := hmccoal.ParseSched(spec.Sched)
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		accs, err = hmccoal.GenerateTrace(spec.Bench, spec.params())
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		cfg = hmccoal.DefaultConfig()
-		cfg.Mode = hmccoal.ModeTwoPhase
-		cfg.Backend = backend
-		cfg.Frontend = fe
-		cfg.Sched = sched
-		cfg.Hierarchy.CPUs = spec.params().CPUs
-		if sys, err = hmccoal.NewSystem(cfg); err != nil {
-			return execOutcome{err: err}
-		}
-		if err := sys.Start(accs); err != nil {
-			return execOutcome{err: err}
-		}
+// simChoices parses the spec's backend, front-end and issue policy. Validate
+// has already accepted them at admission.
+func (s Spec) simChoices() (hmccoal.BackendKind, hmccoal.FrontendKind, hmccoal.SchedKind, error) {
+	backend, err := hmccoal.ParseBackend(s.Backend)
+	if err != nil {
+		return 0, 0, 0, err
 	}
+	fe, err := hmccoal.ParseFrontend(s.Frontend)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	sched, err := hmccoal.ParseSched(s.Sched)
+	return backend, fe, sched, err
+}
 
+// execSingle runs one benchmark under the two-phase coalescer, checking
+// for interruption every parkCheckInterval steps. It keeps no resume
+// state: a preempted or drained single re-runs from the start, the same
+// path a crashed daemon's singles take, and the simulator's determinism
+// makes the summary byte-identical to an uninterrupted run.
+func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
+	cfg := hmccoal.DefaultConfig()
+	cfg.Mode = hmccoal.ModeTwoPhase
+	cfg.Hierarchy.CPUs = spec.params().CPUs
+	var err error
+	if cfg.Backend, cfg.Frontend, cfg.Sched, err = spec.simChoices(); err != nil {
+		return execOutcome{err: err}
+	}
+	accs, err := hmccoal.GenerateTrace(spec.Bench, spec.params())
+	if err != nil {
+		return execOutcome{err: err}
+	}
+	sys, err := hmccoal.NewSystem(cfg)
+	if err != nil {
+		return execOutcome{err: err}
+	}
+	if err := sys.Start(accs); err != nil {
+		return execOutcome{err: err}
+	}
 	for {
 		for i := 0; i < parkCheckInterval; i++ {
 			done, err := sys.Step()
@@ -113,16 +88,8 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 				})
 			}
 		}
-		if err := ctl.ctx.Err(); err != nil {
-			cause := context.Cause(ctl.ctx)
-			if errors.Is(cause, errPark) || errors.Is(cause, errDrainPark) {
-				snap, serr := sys.Snapshot()
-				if serr != nil {
-					return execOutcome{err: serr}
-				}
-				return execOutcome{park: &parkState{snap: snap, cfg: cfg, accs: accs}}
-			}
-			return execOutcome{err: cause}
+		if ctl.ctx.Err() != nil {
+			return execOutcome{err: context.Cause(ctl.ctx)}
 		}
 	}
 }
@@ -133,15 +100,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 // restore instead of recomputing and the final output is byte-identical
 // across any interruption history.
 func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {
-	backend, err := hmccoal.ParseBackend(spec.Backend)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	fe, err := hmccoal.ParseFrontend(spec.Frontend)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	sched, err := hmccoal.ParseSched(spec.Sched)
+	backend, fe, sched, err := spec.simChoices()
 	if err != nil {
 		return execOutcome{err: err}
 	}
@@ -186,12 +145,12 @@ func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {
 		}
 		payload = map[string]any{"bench": spec.Bench, "latencies_ns": lat}
 	case "mshr":
-		lat, rerr := hmccoal.MSHRSweepContext(ctx, spec.Bench, p, spec.Entries, opt)
+		eff, rerr := hmccoal.MSHRSweepContext(ctx, spec.Bench, p, spec.Entries, opt)
 		if rerr != nil {
 			err = rerr
 			break
 		}
-		payload = map[string]any{"bench": spec.Bench, "latencies_ns": lat}
+		payload = map[string]any{"bench": spec.Bench, "coalescing_eff": eff}
 	case "speedup":
 		table, rerr := hmccoal.SpeedupTableContext(ctx, p, opt)
 		if rerr != nil {
@@ -235,15 +194,7 @@ func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {
 // classified scenario durable, so interruptions only recompute scenarios
 // that had not been classified yet.
 func (d *Daemon) execSoak(ctl execCtl, id string, spec Spec) execOutcome {
-	backend, err := hmccoal.ParseBackend(spec.Backend)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	fe, err := hmccoal.ParseFrontend(spec.Frontend)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	sched, err := hmccoal.ParseSched(spec.Sched)
+	backend, fe, sched, err := spec.simChoices()
 	if err != nil {
 		return execOutcome{err: err}
 	}

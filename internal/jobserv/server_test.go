@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,6 +117,22 @@ func TestHTTPAdmissionErrors(t *testing.T) {
 	e := decodeJSON[map[string]*AdmitError](t, resp)["error"]
 	if e == nil || e.Code != CodeBadSpec {
 		t.Fatalf("bad spec error = %+v", e)
+	}
+	// Sweep axes the simulator would refuse at run time are bad specs too.
+	for _, body := range []string{
+		`{"tenant":"web","spec":{"kind":"sweep","sweep":"mshr","bench":"HPCG","entries":[0]}}`,
+		`{"tenant":"web","spec":{"kind":"sweep","sweep":"fault","bench":"HPCG","bers":[2]}}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", body, resp.StatusCode)
+		}
+		if e := decodeJSON[map[string]*AdmitError](t, resp)["error"]; e == nil || e.Code != CodeBadSpec {
+			t.Fatalf("%s: error = %+v, want %s", body, e, CodeBadSpec)
+		}
 	}
 
 	// Rate limit: structured 429 with a Retry-After header.

@@ -34,15 +34,6 @@ type ddrBank struct {
 	rowValid  bool
 }
 
-// ddrSnapshot deep-copies a ddrBackend's mutable state.
-type ddrSnapshot struct {
-	banks []ddrBank
-	bus   uint64
-	core  statsCoreState
-}
-
-func (ddrSnapshot) backendSnapshot() {}
-
 func newDDR(cfg hmc.Config) (Backend, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -57,8 +48,6 @@ func newDDR(cfg hmc.Config) (Backend, error) {
 	b.core.init(cfg)
 	return b, nil
 }
-
-func (b *ddrBackend) Kind() Kind { return KindDDR }
 
 func (b *ddrBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion, error) {
 	if err := validateRequest(&b.cfg, req); err != nil {
@@ -114,30 +103,6 @@ func (b *ddrBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion,
 }
 
 func (b *ddrBackend) Stats() hmc.Stats { return b.core.statsCopy() }
-
-func (b *ddrBackend) Snapshot() Snapshot {
-	return ddrSnapshot{
-		banks: append([]ddrBank(nil), b.banks...),
-		bus:   b.bus,
-		core:  b.core.save(),
-	}
-}
-
-func (b *ddrBackend) Restore(s Snapshot) error {
-	ds, ok := s.(ddrSnapshot)
-	if !ok {
-		return fmt.Errorf("membackend: %v snapshot restored into ddr backend", kindOf(s))
-	}
-	if len(ds.banks) != len(b.banks) {
-		return fmt.Errorf("membackend: snapshot has %d banks, ddr backend %d", len(ds.banks), len(b.banks))
-	}
-	if err := b.core.restore(ds.core); err != nil {
-		return err
-	}
-	copy(b.banks, ds.banks)
-	b.bus = ds.bus
-	return nil
-}
 
 func (b *ddrBackend) DebugLinks() string {
 	return fmt.Sprintf("ddr{bus=%d banks=%d}", b.bus, len(b.banks))

@@ -17,14 +17,6 @@ type idealBackend struct {
 	core statsCore
 }
 
-// idealSnapshot deep-copies an idealBackend's mutable state (which is all
-// statistics; the device itself keeps no timing horizons).
-type idealSnapshot struct {
-	core statsCoreState
-}
-
-func (idealSnapshot) backendSnapshot() {}
-
 func newIdeal(cfg hmc.Config) (Backend, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -36,8 +28,6 @@ func newIdeal(cfg hmc.Config) (Backend, error) {
 	b.core.init(cfg)
 	return b, nil
 }
-
-func (b *idealBackend) Kind() Kind { return KindIdeal }
 
 func (b *idealBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion, error) {
 	if err := validateRequest(&b.cfg, req); err != nil {
@@ -56,16 +46,6 @@ func (b *idealBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completio
 }
 
 func (b *idealBackend) Stats() hmc.Stats { return b.core.statsCopy() }
-
-func (b *idealBackend) Snapshot() Snapshot { return idealSnapshot{core: b.core.save()} }
-
-func (b *idealBackend) Restore(s Snapshot) error {
-	is, ok := s.(idealSnapshot)
-	if !ok {
-		return fmt.Errorf("membackend: %v snapshot restored into ideal backend", kindOf(s))
-	}
-	return b.core.restore(is.core)
-}
 
 func (b *idealBackend) DebugLinks() string { return "ideal{}" }
 

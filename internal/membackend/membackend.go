@@ -78,25 +78,15 @@ func ParseKind(s string) (Kind, error) {
 // Kinds lists the recognized backend names for usage messages.
 func Kinds() []string { return []string{"hmc", "ddr", "ideal"} }
 
-// Snapshot is an opaque deep copy of one backend's mutable state. It can
-// only be restored into a backend of the same kind and configuration.
-type Snapshot interface{ backendSnapshot() }
-
 // Backend is the memory device under the coalescer. Implementations are
 // single-goroutine, tick-driven and deterministic: the same submission
 // sequence produces the same completions and statistics.
 type Backend interface {
-	// Kind identifies the implementation.
-	Kind() Kind
 	// SubmitPacket presents one packet and reports when — and whether —
 	// the response reaches the host.
 	SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion, error)
 	// Stats returns a copy of the accumulated device statistics.
 	Stats() hmc.Stats
-	// Snapshot deep-copies the backend's mutable state; Restore replays a
-	// snapshot into a backend of identical kind and configuration.
-	Snapshot() Snapshot
-	Restore(Snapshot) error
 	// DebugLinks renders the transport state for watchdog diagnostics.
 	DebugLinks() string
 	// SetChecker attaches a runtime invariant checker (nil disables).
@@ -115,62 +105,13 @@ func New(kind Kind, cfg hmc.Config) (Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hmcBackend{dev: dev}, nil
+		return dev, nil
 	case KindDDR:
 		return newDDR(cfg)
 	case KindIdeal:
 		return newIdeal(cfg)
 	}
 	return nil, fmt.Errorf("membackend: unknown backend kind %d", int(kind))
-}
-
-// hmcBackend adapts *hmc.Device to the Backend interface. It is a pure
-// forwarder; hmc cannot implement Backend itself without importing this
-// package for the Snapshot type.
-type hmcBackend struct {
-	dev *hmc.Device
-}
-
-// hmcSnapshot wraps the device's own state type.
-type hmcSnapshot struct{ st *hmc.DeviceState }
-
-func (hmcSnapshot) backendSnapshot() {}
-
-func (b *hmcBackend) Kind() Kind { return KindHMC }
-
-func (b *hmcBackend) SubmitPacket(tick uint64, req hmc.Request) (hmc.Completion, error) {
-	return b.dev.SubmitPacket(tick, req)
-}
-
-func (b *hmcBackend) Stats() hmc.Stats { return b.dev.Stats() }
-
-func (b *hmcBackend) Snapshot() Snapshot { return hmcSnapshot{st: b.dev.Snapshot()} }
-
-func (b *hmcBackend) Restore(s Snapshot) error {
-	hs, ok := s.(hmcSnapshot)
-	if !ok {
-		return fmt.Errorf("membackend: %v snapshot restored into hmc backend", kindOf(s))
-	}
-	return b.dev.Restore(hs.st)
-}
-
-func (b *hmcBackend) DebugLinks() string { return b.dev.DebugLinks() }
-
-func (b *hmcBackend) SetChecker(c *invariant.Checker) { b.dev.SetChecker(c) }
-
-func (b *hmcBackend) CheckConservation(tick uint64) error { return b.dev.CheckConservation(tick) }
-
-// kindOf names a snapshot's origin kind for mismatch diagnostics.
-func kindOf(s Snapshot) Kind {
-	switch s.(type) {
-	case hmcSnapshot:
-		return KindHMC
-	case ddrSnapshot:
-		return KindDDR
-	case idealSnapshot:
-		return KindIdeal
-	}
-	return Kind(-1)
 }
 
 // validateRequest applies the packet-interface rules every backend shares:

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"hmccoal/internal/fault"
@@ -269,6 +271,58 @@ func TestSnapshotAPIErrors(t *testing.T) {
 	}
 	if _, err := s.Finish(); err == nil {
 		t.Error("second Finish accepted")
+	}
+}
+
+// TestRestoreRejectsDivergingReplay changes the shared trace after
+// Snapshot, so replaying the snapshot's steps no longer reaches its tick:
+// Restore must fail and name both ticks.
+func TestRestoreRejectsDivergingReplay(t *testing.T) {
+	cfg := DefaultConfig()
+	accs := snapshotScenario{bench: "HPCG", ops: 200}.trace(t)
+	s := mustSystem(t, cfg)
+	if err := s.Start(accs); err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	for ; s.Tick() < 1000; steps++ {
+		if done, err := s.Step(); err != nil || done {
+			t.Fatalf("step %d: done=%v err=%v", steps, done, err)
+		}
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapTick := s.Tick()
+
+	// The snapshot shares the trace: delaying every access moves the
+	// replay. A probe run of the same steps shows where it lands.
+	for i := range accs {
+		accs[i].Tick += 1_000_000
+	}
+	probe := mustSystem(t, cfg)
+	if err := probe.Start(accs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < steps; i++ {
+		if _, err := probe.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replayTick := probe.Tick()
+	if replayTick == snapTick {
+		t.Fatalf("changed trace still reaches tick %d", snapTick)
+	}
+
+	err = mustSystem(t, cfg).Restore(snap)
+	if err == nil {
+		t.Fatal("Restore accepted a replay that diverged from the snapshot")
+	}
+	for _, tick := range []uint64{snapTick, replayTick} {
+		if !strings.Contains(err.Error(), strconv.FormatUint(tick, 10)) {
+			t.Errorf("Restore error %q does not name tick %d", err, tick)
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // tickState is the explicit per-run scheduling state of the staged tick
 // loop: the CSR-bucketed trace, the cursor heap merging per-CPU streams,
-// the parked-core bookkeeping and the high-water tick. Making it a named
-// struct (instead of Run-local variables) is what lets the simulator be
-// snapshotted mid-run and stepped one event at a time.
+// the parked-core bookkeeping, the high-water tick and the step count.
+// Making it a named struct (instead of Run-local variables) is what lets
+// the simulator be stepped one event at a time and snapshotted mid-run.
 type tickState struct {
 	// accs is the caller's trace; the CSR index slices below point into it
 	// instead of copying the accesses. streamOff[c]..streamOff[c+1]
@@ -38,6 +38,9 @@ type tickState struct {
 	// last is the latest tick at which a core issued or memory made
 	// progress while no core was runnable; Drain picks up from it.
 	last uint64
+
+	// steps counts Step calls since Start; a Snapshot replays that many.
+	steps uint64
 
 	started  bool
 	finished bool
@@ -160,6 +163,7 @@ func (s *System) Step() (bool, error) {
 	if ts.finished {
 		return false, fmt.Errorf("sim: Step after Finish")
 	}
+	ts.steps++
 	if len(ts.cursors) == 0 && ts.nParked == 0 {
 		return true, nil
 	}
